@@ -10,7 +10,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== bytecode hygiene =="
+echo "== repository hygiene =="
 bytecode="$( { git ls-files; git diff --cached --name-only; } \
     | grep -E '(^|/)__pycache__(/|$)|\.pyc$' | sort -u || true)"
 if [[ -n "$bytecode" ]]; then
@@ -20,13 +20,21 @@ if [[ -n "$bytecode" ]]; then
          "__pycache__/ and *.pyc" >&2
     exit 1
 fi
+ignored="$(git ls-files -ci --exclude-standard)"
+if [[ -n "$ignored" ]]; then
+    echo "ERROR: files matched by .gitignore are tracked:" >&2
+    echo "$ignored" >&2
+    echo "untrack them (git rm -r --cached <path>); caches and build" \
+         "outputs are regenerated, not committed" >&2
+    exit 1
+fi
 
 if command -v ruff >/dev/null 2>&1; then
     echo "== ruff =="
-    ruff check src tests benchmarks examples
+    ruff check src tests examples
 elif python -c "import ruff" >/dev/null 2>&1; then
     echo "== ruff (module) =="
-    python -m ruff check src tests benchmarks examples
+    python -m ruff check src tests examples
 else
     echo "WARNING: ruff not installed; skipping lint" >&2
 fi

@@ -28,36 +28,38 @@ from typing import List, Optional
 
 
 def _cmd_list() -> int:
-    from repro.experiments import EXPERIMENTS
+    from repro.figures.generators import artifact_ids, get_artifact
 
-    width = max(len(e.experiment_id) for e in EXPERIMENTS)
-    for experiment in EXPERIMENTS:
-        print(f"{experiment.experiment_id:<{width}}  {experiment.title}")
-        print(f"{'':<{width}}  paper: {experiment.paper_claim}")
+    ids = artifact_ids()
+    width = max(len(i) for i in ids)
+    for artifact_id in ids:
+        artifact = get_artifact(artifact_id)
+        print(f"{artifact_id:<{width}}  {artifact.title}")
+        print(f"{'':<{width}}  paper: {artifact.paper_claim}")
     return 0
 
 
 def _cmd_run(ids: List[str]) -> int:
-    from repro.experiments import all_experiment_ids, run_experiment
+    from repro.figures.generators import artifact_ids, get_artifact
 
     if not ids:
         print("no experiment ids given; try: "
-              f"{', '.join(all_experiment_ids())}", file=sys.stderr)
+              f"{', '.join(artifact_ids())}", file=sys.stderr)
         return 2
-    for experiment_id in ids:
-        result = run_experiment(experiment_id)
+    for artifact_id in ids:
+        result = get_artifact(artifact_id).run()
         print(result["table"])
         print()
     return 0
 
 
 def _cmd_export(directory: str, ids: List[str]) -> int:
-    from repro.experiments import all_experiment_ids
     from repro.experiments.export import export_experiment
+    from repro.figures.generators import artifact_ids
 
-    targets = ids or all_experiment_ids()
-    for experiment_id in targets:
-        written = export_experiment(experiment_id, directory)
+    targets = ids or artifact_ids()
+    for artifact_id in targets:
+        written = export_experiment(artifact_id, directory)
         for path in written:
             print(f"wrote {path}")
     return 0
@@ -357,10 +359,10 @@ def _cmd_serve(args) -> int:
 
 
 def _cmd_suite() -> int:
-    from repro.experiments import run_experiment
+    from repro.figures.generators import get_artifact
 
     for table in ("table3", "table4"):
-        print(run_experiment(table)["table"])
+        print(get_artifact(table).run()["table"])
         print()
     return 0
 

@@ -295,11 +295,8 @@ class _BatchedRunState(_ReferenceRunState):
                             sequence = self._execute_epoch(
                                 batch, completions, sequence)
                         else:
-                            task = scheduler.next_task()
-                            finish = self._execute_task(task)
-                            heapq.heappush(
-                                completions, (finish, sequence, task))
-                            sequence += 1
+                            sequence = self._dispatch_scalar(
+                                scheduler.next_task(), completions, sequence)
                         continue
                     entries = scheduler.drain_ready_leaves()
                     ids = [entry[1].task_id for entry in entries]
@@ -322,11 +319,8 @@ class _BatchedRunState(_ReferenceRunState):
                             # parent is not registered yet (tiled row,
                             # parts still on the cursor): scalar
                             # dispatch, as the reference does.
-                            task = scheduler.next_task()
-                            finish = self._execute_task(task)
-                            heapq.heappush(
-                                completions, (finish, sequence, task))
-                            sequence += 1
+                            sequence = self._dispatch_scalar(
+                                scheduler.next_task(), completions, sequence)
                     else:
                         new_sequence = self._execute_epoch_fenced(
                             entries, ids, fence, waiters, completions,
@@ -336,11 +330,8 @@ class _BatchedRunState(_ReferenceRunState):
                             # fence clears the PE horizon at epoch
                             # entry); degrade to one scalar dispatch
                             # rather than spin.
-                            task = scheduler.next_task()
-                            finish = self._execute_task(task)
-                            heapq.heappush(
-                                completions, (finish, sequence, task))
-                            sequence += 1
+                            sequence = self._dispatch_scalar(
+                                scheduler.next_task(), completions, sequence)
                         else:
                             sequence = new_sequence
                     continue
@@ -355,19 +346,14 @@ class _BatchedRunState(_ReferenceRunState):
                         # fence clears the PE horizon at epoch entry);
                         # degrade to one scalar dispatch rather than
                         # spin.
-                        task = scheduler.next_task()
-                        finish = self._execute_task(task)
-                        heapq.heappush(
-                            completions, (finish, sequence, task))
-                        sequence += 1
+                        sequence = self._dispatch_scalar(
+                            scheduler.next_task(), completions, sequence)
                     else:
                         sequence = new_sequence
                     continue
             task = scheduler.next_task()
             if task is not None:
-                finish = self._execute_task(task)
-                heapq.heappush(completions, (finish, sequence, task))
-                sequence += 1
+                sequence = self._dispatch_scalar(task, completions, sequence)
                 continue
             if completions:
                 if (not scheduler.has_blocked_tasks()
@@ -399,6 +385,16 @@ class _BatchedRunState(_ReferenceRunState):
             self._publish_run_metrics(bandwidth_floor)
 
     # -- scalar-path hook -------------------------------------------------
+    def _dispatch_scalar(self, task, completions: List,
+                         sequence: int) -> int:
+        """Scalar fallback: execute one task and queue its completion.
+
+        Returns the next completion sequence number.
+        """
+        finish = self._execute_task(task)
+        heapq.heappush(completions, (finish, sequence, task))
+        return sequence + 1
+
     def _execute_task(self, task):
         # A task drained into a cohort but dispatched scalar (degenerate
         # fence fallback) must not leave a stale gather record behind.

@@ -1,12 +1,9 @@
-"""Experiment harness: every paper table and figure, regenerable."""
+"""Experiment harness: the memoizing runner and the figure builders.
 
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    Experiment,
-    all_experiment_ids,
-    get_experiment,
-    run_experiment,
-)
+The catalog of paper artifacts (``fig12``, ``table3``, ...) that drives
+them lives in :mod:`repro.figures.generators`.
+"""
+
 from repro.engine import RunRecord, SweepPoint, plan_sweep, run_sweep
 from repro.experiments.runner import (
     MODEL_SCALE,
@@ -17,17 +14,12 @@ from repro.experiments.runner import (
 )
 
 __all__ = [
-    "EXPERIMENTS",
-    "Experiment",
     "ExperimentRunner",
     "MODEL_SCALE",
     "RUNNER",
     "RunRecord",
     "SweepPoint",
-    "all_experiment_ids",
-    "get_experiment",
     "plan_sweep",
-    "run_experiment",
     "run_sweep",
     "scaled_cpu_config",
     "scaled_gamma_config",

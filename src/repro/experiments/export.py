@@ -49,10 +49,10 @@ def export_experiment(
 
     Returns the written paths.
     """
-    from repro.experiments import run_experiment
+    from repro.figures.generators import get_artifact
 
     if result is None:
-        result = run_experiment(experiment_id)
+        result = get_artifact(experiment_id).run()
     directory = pathlib.Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []

@@ -1,15 +1,11 @@
-"""One function per paper table/figure, producing its data and a text table.
+"""One builder per paper table/figure, producing its data and a text table.
 
-Every figure is built in two layers:
-
-* a **row/figure builder** (``speedup_figure``, ``traffic_figure``, ...)
-  parameterized by the matrix set and an
-  :class:`~repro.experiments.runner.ExperimentRunner` — the versioned
-  figure pipeline (:mod:`repro.figures`) calls these directly with its
-  own runner and scope, and
-* the zero-argument ``figN()``/``tableN()`` entry points the experiment
-  registry exposes, which bind the paper's matrix sets and the shared
-  module runner.
+Every builder (``speedup_figure``, ``traffic_figure``, ...) is
+parameterized by the matrix set and an
+:class:`~repro.experiments.runner.ExperimentRunner`. The figure catalog
+(:mod:`repro.figures.generators`) binds them to matrix scopes: both the
+versioned figure pipeline and the paper-artifact ids (``fig12``,
+``table3``, ...) run through it.
 
 Each builder returns a dict with at least:
 
@@ -778,123 +774,3 @@ def matraptor_figure(names: Sequence[str], figure: str,
     )
     return {"rows": rows, "table": table, "chart_data": chart_data,
             "chart": render_chart(chart_data)}
-
-
-# ----------------------------------------------------------------------
-# Registry entry points: the paper's figures on the paper's matrix sets
-# ----------------------------------------------------------------------
-def fig3() -> Dict:
-    """Fig. 3: traffic of IP/OS/S/G/GP on gupta2 and web-Google."""
-    return breakdown_figure(("gupta2", "web-Google"), "Fig. 3")
-
-
-def fig10() -> Dict:
-    """Fig. 10: gmean speedup over MKL on the common set."""
-    return gmean_speedup_figure(suite.common_set_names(), "Fig. 10")
-
-
-def fig11() -> Dict:
-    return speedup_figure(suite.common_set_names(), "Fig. 11")
-
-
-def fig12() -> Dict:
-    return traffic_figure(suite.common_set_names(), "Fig. 12")
-
-
-def fig13() -> Dict:
-    return bandwidth_figure(suite.common_set_names(), "Fig. 13")
-
-
-def fig14() -> Dict:
-    return cache_util_figure(suite.common_set_names(), "Fig. 14")
-
-
-def fig15() -> Dict:
-    return speedup_figure(suite.extended_set_names(), "Fig. 15")
-
-
-def fig16() -> Dict:
-    return traffic_figure(suite.extended_set_names(), "Fig. 16")
-
-
-def fig17() -> Dict:
-    return bandwidth_figure(suite.extended_set_names(), "Fig. 17")
-
-
-def fig18() -> Dict:
-    return cache_util_figure(suite.extended_set_names(), "Fig. 18")
-
-
-def fig19() -> Dict:
-    """Fig. 19: preprocessing ablation on Maragal_7 and sme3Db."""
-    return preprocessing_figure(("Maragal_7", "sme3Db"), "Fig. 19")
-
-
-def fig20() -> Dict:
-    """Fig. 20: multi-PE vs single-PE-per-row scheduling."""
-    return scheduling_figure("email-Enron", "Fig. 20")
-
-
-def fig21() -> Dict:
-    """Fig. 21: roofline placement of every matrix, G and GP."""
-    return roofline_figure(
-        suite.common_set_names() + suite.extended_set_names(),
-        "Fig. 21")
-
-
-def fig22() -> Dict:
-    return pe_sweep_figure(suite.common_set_names(),
-                           "Fig. 22 (common set)")
-
-
-def fig23() -> Dict:
-    return pe_sweep_figure(suite.extended_set_names(),
-                           "Fig. 23 (extended set)")
-
-
-def fig24() -> Dict:
-    return cache_sweep_figure(suite.common_set_names(),
-                              "Fig. 24 (common set)")
-
-
-def fig25() -> Dict:
-    return cache_sweep_figure(suite.extended_set_names(),
-                              "Fig. 25 (extended set)")
-
-
-def table1() -> Dict:
-    return config_figure("Table 1")
-
-
-def table2() -> Dict:
-    return area_figure("Table 2")
-
-
-def table3() -> Dict:
-    return suite_figure(
-        suite.COMMON_SET,
-        f"Table 3: common set (scaled stand-ins, 1/{MODEL_SCALE} rows)")
-
-
-def table4() -> Dict:
-    return suite_figure(
-        suite.EXTENDED_SET,
-        "Table 4: extended set (scaled stand-ins)")
-
-
-def ext_matraptor() -> Dict:
-    """Sec. 7 discussion, quantified: MatRaptor vs Gamma, common set."""
-    return matraptor_figure(suite.common_set_names(),
-                            "Extension (Sec. 7)")
-
-
-def ext_dataflows() -> Dict:
-    """Sec. 2.2 quantified: per-dataflow work counts."""
-    return dataflows_figure(
-        ("p2p-Gnutella31", "wiki-Vote", "poisson3Da"),
-        "Extension (Sec. 2.2)")
-
-
-def ext_energy() -> Dict:
-    """Extension: energy comparison across designs (parametric model)."""
-    return energy_figure(suite.common_set_names(), "Extension")

@@ -22,8 +22,12 @@ deterministic roll-up, preserving serial/parallel byte-identity.
 
 from repro.figures.generators import (
     FIGURE_GENERATORS,
+    PAPER_ARTIFACTS,
     FigureGenerator,
+    PaperArtifact,
+    artifact_ids,
     figure_ids,
+    get_artifact,
     get_generator,
 )
 from repro.figures.manifest import (
@@ -63,17 +67,21 @@ __all__ = [
     "GOLDEN_FIGURES_DIR",
     "GOLDEN_SCOPE",
     "MANIFEST_FILENAME",
+    "PAPER_ARTIFACTS",
     "QUICK_MATRICES",
     "REPORT_FIGURES_SUBDIR",
     "SCOPES",
     "FigureGenerator",
     "FigureScope",
+    "PaperArtifact",
+    "artifact_ids",
     "build_manifest",
     "check_figures",
     "csv_bytes",
     "figure_ids",
     "file_sha256",
     "generate_figures",
+    "get_artifact",
     "get_generator",
     "get_scope",
     "inputs_fingerprint",

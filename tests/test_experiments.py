@@ -1,43 +1,44 @@
-"""Tests for the experiment harness (registry + runner, on small inputs).
+"""Tests for the experiment harness (catalog + runner, on small inputs).
 
-These use the smallest suite matrices so the full battery stays fast; the
-benchmarks exercise the complete sweeps.
+These use the smallest suite matrices so the full battery stays fast;
+``test_paper_claims.py`` checks the paper's claims on the complete
+sweeps.
 """
 
 import pytest
 
-from repro.experiments import (
-    EXPERIMENTS,
-    all_experiment_ids,
-    get_experiment,
-    scaled_cpu_config,
-    scaled_gamma_config,
-)
+from repro.experiments import scaled_cpu_config, scaled_gamma_config
 from repro.experiments.runner import (
     MODEL_SCALE,
     ExperimentRunner,
     preprocess_options,
 )
+from repro.figures.generators import (
+    PAPER_ARTIFACTS,
+    artifact_ids,
+    get_artifact,
+)
 
 
 class TestRegistry:
     def test_every_figure_and_table_present(self):
-        ids = set(all_experiment_ids())
+        ids = artifact_ids()
         expected = {f"fig{i}" for i in [3] + list(range(10, 26))}
         expected |= {f"table{i}" for i in range(1, 5)}
         expected |= {"ext_matraptor", "ext_dataflows", "ext_energy"}
-        assert ids == expected
+        assert len(ids) == len(expected) == 24
+        assert set(ids) == expected
 
     def test_lookup(self):
-        exp = get_experiment("fig12")
-        assert "traffic" in exp.title.lower()
+        artifact = get_artifact("fig12")
+        assert "traffic" in artifact.title.lower()
         with pytest.raises(KeyError, match="unknown experiment"):
-            get_experiment("fig99")
+            get_artifact("fig99")
 
     def test_claims_recorded(self):
-        for exp in EXPERIMENTS:
-            assert exp.paper_claim
-            assert exp.title
+        for artifact in PAPER_ARTIFACTS:
+            assert artifact.paper_claim
+            assert artifact.title
 
 
 class TestScaledConfigs:
