@@ -242,6 +242,16 @@ QUICK_DEEP_MODEL_POINTS = [
 ]
 
 
+def guarded_rows() -> list:
+    """(batched, reference) row-name pairs ``--guard-deep`` reads from a
+    pinned ``after`` report, one pair per ``DEEP_MODEL_POINTS`` entry."""
+    pairs = []
+    for matrix, num_pes, radix in DEEP_MODEL_POINTS:
+        suffix = f"gamma/{matrix}/pes{num_pes}-radix{radix}"
+        pairs.append((f"model-deep/{suffix}", f"model-ref-deep/{suffix}"))
+    return pairs
+
+
 def bench_models(quick: bool) -> list:
     import dataclasses
 
@@ -428,12 +438,20 @@ def combine(before_path: str, after_path: str,
     ``--out BENCH_hotpath.json`` over the committed file), its summary
     is appended to ``history`` so the file accumulates one entry per
     optimization PR instead of overwriting the record.
+
+    Raises ``ValueError`` when ``after`` lacks a row ``--guard-deep``
+    reads: a pinned file the guard cannot check is never written.
     """
     with open(before_path) as handle:
         before = json.load(handle)
     with open(after_path) as handle:
         after = json.load(handle)
     after_by_name = {p["name"]: p for p in after["points"]}
+    missing = [name for pair in guarded_rows() for name in pair
+               if name not in after_by_name]
+    if missing:
+        raise ValueError(f"{after_path} lacks guarded rows: "
+                         + ", ".join(missing))
     per_point = []
     by_prefix = {}
     for point in before["points"]:
@@ -505,7 +523,9 @@ def guard_deep(pinned_path: str, threshold: float = 0.9) -> int:
     check machine-independent — CI runners and the pinning machine
     never share absolute wall clocks — while still failing when the
     batched engine's deep-tree rows regress more than ``1 - threshold``
-    relative to the reference engine. Returns a process exit code.
+    relative to the reference engine. A guarded row missing from the
+    pinned report fails the guard before anything is measured. Returns a
+    process exit code.
     """
     with open(pinned_path) as handle:
         pinned = json.load(handle)
@@ -514,26 +534,25 @@ def guard_deep(pinned_path: str, threshold: float = 0.9) -> int:
     else:
         pinned_points = pinned["points"]
     pinned_by_name = {p["name"]: p for p in pinned_points}
+    missing = [name for pair in guarded_rows() for name in pair
+               if name not in pinned_by_name]
+    if missing:
+        print("guard-deep: FAIL: pinned entry lacks " + ", ".join(missing),
+              file=sys.stderr)
+        return 1
 
     fresh = {p["name"]: p for p in bench_deep_models(quick=False)}
     failures = []
-    checked = 0
-    for matrix, num_pes, radix in DEEP_MODEL_POINTS:
-        suffix = f"gamma/{matrix}/pes{num_pes}-radix{radix}"
-        names = (f"model-deep/{suffix}", f"model-ref-deep/{suffix}")
-        pinned_pair = [pinned_by_name.get(name) for name in names]
+    for names in guarded_rows():
+        suffix = names[0].split("/", 1)[1]
+        pinned_pair = [pinned_by_name[name] for name in names]
         fresh_pair = [fresh.get(name) for name in names]
-        if None in pinned_pair:
-            print(f"guard-deep: {suffix}: not in pinned entry, skipping",
-                  file=sys.stderr)
-            continue
         if None in fresh_pair:
             failures.append(f"{suffix}: missing from fresh run")
             continue
         pinned_ratio = (pinned_pair[1]["wall_s"]
                         / pinned_pair[0]["wall_s"])
         fresh_ratio = fresh_pair[1]["wall_s"] / fresh_pair[0]["wall_s"]
-        checked += 1
         verdict = "ok"
         if fresh_ratio < threshold * pinned_ratio:
             verdict = "REGRESSION"
@@ -545,11 +564,7 @@ def guard_deep(pinned_path: str, threshold: float = 0.9) -> int:
     if failures:
         print("guard-deep: FAIL: " + "; ".join(failures), file=sys.stderr)
         return 1
-    if not checked:
-        print("guard-deep: FAIL: no deep-tree rows checked (pinned entry "
-              "predates the deep points?)", file=sys.stderr)
-        return 1
-    print(f"guard-deep: OK ({checked} points)", file=sys.stderr)
+    print(f"guard-deep: OK ({len(guarded_rows())} points)", file=sys.stderr)
     return 0
 
 
@@ -573,7 +588,11 @@ def main() -> int:
         return guard_deep(args.guard_deep)
 
     if args.combine:
-        report = combine(*args.combine, previous_path=args.out)
+        try:
+            report = combine(*args.combine, previous_path=args.out)
+        except ValueError as exc:
+            print(f"combine: refusing to write: {exc}", file=sys.stderr)
+            return 1
         comparison = report["comparison"]
         summary = (
             f"aggregate: {comparison['before_wall_s_total']:.3f}s -> "

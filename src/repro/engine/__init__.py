@@ -7,8 +7,9 @@ The engine is the layer between the simulators (``repro.core``,
   result type every model returns;
 * :mod:`repro.engine.registry` — models by name behind a single
   ``run(a, b, config, **variant)`` interface;
-* :mod:`repro.engine.sweep` — cross-product planning and process-parallel
-  execution with the disk cache as the shared result store;
+* :mod:`repro.engine.sweep` — cross-product planning and the point
+  executor (:class:`SlotPool`: killable worker processes, one retry
+  loop) with the disk cache as the shared result store;
 * :mod:`repro.engine.diskcache` — atomic, checksum-validated,
   schema-versioned JSON cache;
 * :mod:`repro.engine.defaults` — the 1/64-scale experiment system;
@@ -48,6 +49,7 @@ from repro.engine.sweep import (
     SweepPointError,
     SweepPolicy,
     SweepResult,
+    SlotPool,
     WorkerSlot,
     clear_checkpoint,
     execute_point,
@@ -72,6 +74,7 @@ __all__ = [
     "SweepPointError",
     "SweepPolicy",
     "SweepResult",
+    "SlotPool",
     "clear_checkpoint",
     "load_checkpoint",
     "MODEL_SCALE",

@@ -27,6 +27,10 @@ taking the run down, so execution is governed by a :class:`SweepPolicy`:
   (CLI ``--resume``) recomputes nothing already cached and does not
   re-burn retries on points already known bad.
 
+All of it runs on one executor, :class:`SlotPool` — killable worker
+slots, the only code that classifies an attempt, and the only retry
+loop — which the job server (:mod:`repro.serve.server`) shares.
+
 ``execute_point`` is the single entry point for evaluating one point; the
 serial facade (:class:`repro.experiments.ExperimentRunner`) and the
 parallel workers both go through it, which is what makes parallel,
@@ -50,22 +54,22 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import heapq
-import itertools
 import multiprocessing
-import multiprocessing.connection
 import os
+import queue
 import random
+import threading
 import time
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import (
+    Any,
     Callable,
     Dict,
     Iterable,
     List,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
@@ -550,18 +554,18 @@ def checkpoint_key(points: Sequence[SweepPoint]) -> str:
         plan=sorted(record_key(p) for p in dict.fromkeys(points)))
 
 
-def save_checkpoint(points: Sequence[SweepPoint],
-                    result: SweepResult) -> None:
-    """Persist sweep progress (records themselves live in the cache).
+def save_checkpoint(key: str, total: int, result: SweepResult) -> None:
+    """Persist sweep progress (records themselves live in the cache)
+    under ``key``, the :func:`checkpoint_key` of a ``total``-point plan.
 
     Only resume-relevant state goes in: execution stats vary with
     scheduling (e.g. racing workers may each compute a shared
     prerequisite), and the cache must stay byte-identical between
     serial and parallel runs of the same plan.
     """
-    diskcache.store(checkpoint_key(points), {
+    diskcache.store(key, {
         "version": CHECKPOINT_VERSION,
-        "total": len(list(dict.fromkeys(points))),
+        "total": total,
         "completed": len(result),
         "quarantined": [
             f.to_payload() for f in result.quarantined.values()
@@ -645,6 +649,9 @@ def run_sweep(
     ordered = list(dict.fromkeys(points))
     result = SweepResult()
     failed_attempts: Dict[SweepPoint, int] = {}
+    # Pool threads publish retries and failures while this thread counts
+    # completions, so every counter update happens under this lock.
+    counters = threading.Lock()
 
     def count(name: str, amount: int = 1,
               point: Optional[SweepPoint] = None) -> None:
@@ -655,14 +662,34 @@ def run_sweep(
         ``SweepResult.stats`` agree exactly (the chaos-integration test
         pins this).
         """
-        result.stats[name] = result.stats.get(name, 0) + amount
-        if metrics is not None:
-            metrics.inc(f"sweep/{name}", amount)
-        if point is not None and name in ("errors", "timeouts", "crashes"):
-            failed_attempts[point] = failed_attempts.get(point, 0) + 1
-        if spans.active():
-            attrs = {"point": point.label()} if point is not None else {}
-            spans.emit_instant(f"sweep/{name}", **attrs)
+        with counters:
+            result.stats[name] = result.stats.get(name, 0) + amount
+            if metrics is not None:
+                metrics.inc(f"sweep/{name}", amount)
+            if point is not None and name in FAILURE_STATS.values():
+                failed_attempts[point] = failed_attempts.get(point, 0) + 1
+            if spans.active():
+                attrs = {"point": point.label()} if point is not None else {}
+                spans.emit_instant(f"sweep/{name}", **attrs)
+
+    def publish(event: str, point: SweepPoint, info: Dict[str, Any]) -> None:
+        """Executor events from :meth:`SlotPool.run_with_retries`."""
+        if event == "retry":
+            count("retries", point=point)
+            spans.emit_instant("sweep/backoff", point=point.label(),
+                               attempt=info["attempt"],
+                               delay_seconds=info["delay_seconds"])
+            return
+        reason = info.get("reason", "ok")
+        spans.emit_span("sweep/point", info["start_ts"], point=point.label(),
+                        attempt=info["attempt"], slot=info["slot"],
+                        outcome=reason)
+        if reason == "timeout":
+            spans.emit_instant("sweep/timeout_kill", point=point.label(),
+                               slot=info["slot"],
+                               timeout_seconds=policy.timeout_seconds)
+        if not info["ok"]:
+            count(FAILURE_STATS[reason], point=point)
 
     skip: Dict[SweepPoint, PointFailure] = {}
     if resume:
@@ -679,7 +706,6 @@ def run_sweep(
 
     runnable = [p for p in ordered if p not in result.quarantined]
     pending = pending_points(runnable)
-    pending_set = set(pending)
     prerequisites = [
         p for p in dict.fromkeys(
             SweepPoint("gamma", q.matrix)
@@ -688,136 +714,146 @@ def run_sweep(
     ]
 
     computed: set = set()
+    # Hashing the whole plan takes milliseconds; it is done once, not
+    # per settled point while the pool threads keep the workers busy.
+    progress_key = checkpoint_key(ordered)
 
-    def on_point_done(point: SweepPoint, record: RunRecord,
-                      wall_seconds: float) -> None:
-        computed.add(point)
-        count("executed", point=point)
-        result.provenance[point] = {
-            "source": "computed",
-            "attempts": failed_attempts.get(point, 0) + 1,
-            "wall_seconds": wall_seconds,
-        }
-        if on_executed is not None:
-            on_executed(point, record, wall_seconds)
+    def save_progress() -> None:
         if diskcache.cache_enabled():
-            save_checkpoint(ordered, result)
+            save_checkpoint(progress_key, len(ordered), result)
 
-    def on_point_quarantined(failure: PointFailure) -> None:
-        result.quarantined[failure.point] = failure
-        count("quarantined", point=failure.point)
+    def settle(point: SweepPoint,
+               outcome: Dict[str, Any]) -> Optional[RunRecord]:
+        """Record a point's final outcome (calling thread only)."""
+        if outcome["ok"]:
+            record = outcome["record"]
+            wall_seconds = outcome["wall_seconds"]
+            computed.add(point)
+            count("executed", point=point)
+            result.provenance[point] = {
+                "source": "computed",
+                "attempts": failed_attempts.get(point, 0) + 1,
+                "wall_seconds": wall_seconds,
+            }
+            if on_executed is not None:
+                on_executed(point, record, wall_seconds)
+            save_progress()
+            return record
+        failure = PointFailure(point, outcome["attempts"], outcome["reason"],
+                               outcome["error"])
+        result.quarantined[point] = failure
+        count("quarantined", point=point)
+        save_progress()
         if policy.fail_fast:
-            if diskcache.cache_enabled():
-                save_checkpoint(ordered, result)
             raise SweepPointError(failure)
-        if diskcache.cache_enabled():
-            save_checkpoint(ordered, result)
+        return None
 
     if collect_metrics:
         os.environ[METRICS_ENV] = "1"
     try:
         return _run_sweep_body(
-            ordered, pending_set, pending, prerequisites, result,
-            computed, workers, serial, policy, count,
-            on_result, on_point_done, on_point_quarantined)
+            ordered, pending, prerequisites, result, computed, workers,
+            serial, policy, count, publish, settle, save_progress,
+            on_result)
     finally:
         if collect_metrics:
             os.environ.pop(METRICS_ENV, None)
 
 
 def _run_sweep_body(
-    ordered, pending_set, pending, prerequisites, result,
-    computed, workers, serial, policy, count,
-    on_result, on_point_done, on_point_quarantined,
+    ordered, pending, prerequisites, result, computed, workers, serial,
+    policy, count, publish, settle, save_progress, on_result,
 ) -> SweepResult:
-    use_processes = (not serial and diskcache.cache_enabled()
-                     and (workers is None or workers > 1))
-    if use_processes:
+    pending_set = set(pending)
+    if (not serial and diskcache.cache_enabled()
+            and (workers is None or workers > 1)):
         max_workers = workers or os.cpu_count() or 1
         for batch in (pending_points(prerequisites), pending):
             batch = [p for p in batch if p not in result.quarantined]
-            _run_batch_parallel(
-                batch, max_workers, policy, count,
-                on_point_done, on_point_quarantined)
-        pending_set = set()  # workers computed (and notified) them all
+            _run_batch(batch, max_workers, policy, publish, settle)
+        pending_set = set()  # the pools computed (and settled) them all
     # Serial mode (and the no-disk-cache fallback, where processes cannot
     # share results) computes misses right here, in plan order.
+    inline = SlotPool(0)
     for point in ordered:
         if point in result.quarantined:
             continue
         if point in pending_set:
-            outcome = _execute_with_retries(point, policy, count)
-            if isinstance(outcome, PointFailure):
-                on_point_quarantined(outcome)
-                continue
-            record, wall_seconds = outcome
-            on_point_done(point, record, wall_seconds)
+            record = settle(point,
+                            inline.run_with_retries(point, policy, publish))
         else:
             try:
                 record = execute_point(point)
-            except Exception as exc:
+            except Exception:
                 # A cached load can only fail here if the entry was
-                # invalidated underneath us *and* recomputation failed.
-                outcome = _execute_with_retries(
-                    point, policy, count, first_error=exc)
-                if isinstance(outcome, PointFailure):
-                    on_point_quarantined(outcome)
-                    continue
-                record, wall_seconds = outcome
-                on_point_done(point, record, wall_seconds)
-            if point not in computed:
+                # invalidated underneath us *and* recomputation failed;
+                # the point then retries like any pending one.
+                count("errors", point=point)
+                record = settle(
+                    point, inline.run_with_retries(point, policy, publish))
+            if record is not None and point not in computed:
                 count("cached", point=point)
                 result.provenance.setdefault(
                     point, {"source": "cached", "attempts": 0})
+        if record is None:
+            continue
         result[point] = record
         if on_result is not None:
             on_result(point, record)
-    if diskcache.cache_enabled():
-        save_checkpoint(ordered, result)
+    save_progress()
     return result
 
 
-def _execute_with_retries(
-    point: SweepPoint,
+def _run_batch(
+    batch: Sequence[SweepPoint],
+    workers: int,
     policy: SweepPolicy,
-    count: Callable[..., None],
-    first_error: Optional[BaseException] = None,
-) -> Union[Tuple[RunRecord, float], PointFailure]:
-    """Serial-mode attempt loop: retries with backoff, then quarantine."""
-    key = record_key(point)
-    attempt = 0
-    last_error = repr(first_error) if first_error is not None else ""
-    if first_error is not None:
-        count("errors", point=point)
-        attempt = 1
-    while attempt <= policy.max_retries:
-        if attempt > 0:
-            count("retries", point=point)
-            backoff_start = time.time()
-            time.sleep(policy.backoff_delay(key, attempt - 1))
-            spans.emit_span("sweep/backoff", backoff_start,
-                            point=point.label(), attempt=attempt)
-        start = time.perf_counter()
-        span_start = time.time()
-        try:
-            record = execute_point(point)
-            spans.emit_span("sweep/point", span_start,
-                            point=point.label(), attempt=attempt,
-                            outcome="ok")
-            return record, time.perf_counter() - start
-        except Exception as exc:
-            spans.emit_span("sweep/point", span_start,
-                            point=point.label(), attempt=attempt,
-                            outcome="error")
-            count("errors", point=point)
-            last_error = repr(exc)
-            attempt += 1
-    return PointFailure(point, attempt, "error", last_error)
+    publish: Callable[[str, SweepPoint, Dict[str, Any]], None],
+    settle: Callable[[SweepPoint, Dict[str, Any]], Optional[RunRecord]],
+) -> None:
+    """Run a batch on its own :class:`SlotPool`, one thread per slot.
+
+    Points are submitted in plan order, and the executor's FIFO queue
+    starts them in that order. Outcomes are settled here, in the calling
+    thread, so only it touches the result and the checkpoint.
+    """
+    if not batch:
+        return
+    size = min(workers, len(batch))
+    pool = SlotPool(size)
+    threads = ThreadPoolExecutor(size, thread_name_prefix="sweep-slot")
+    try:
+        futures = {
+            threads.submit(pool.run_with_retries, point, policy, publish):
+                point
+            for point in batch
+        }
+        for future in as_completed(futures):
+            settle(futures[future], future.result())
+    finally:
+        # On an early exit (fail_fast, Ctrl-C) queued points never start
+        # and closing the pool ends running attempts and backoffs.
+        threads.shutdown(wait=False, cancel_futures=True)
+        pool.close()
+        threads.shutdown()
 
 
 # ----------------------------------------------------------------------
-# Parallel executor: worker slots with kill-based cancellation
+# Point executor: worker slots with kill-based cancellation
 # ----------------------------------------------------------------------
+#: Attempt failure reason -> the counter each executor caller keeps for
+#: it (the sweep's ``SweepResult.stats`` and the job server's ``stats``).
+FAILURE_STATS = {"timeout": "timeouts", "crash": "crashes",
+                 "error": "errors", "shutdown": "shutdowns"}
+
+
+def _failed(reason: str, error: str) -> Dict[str, Any]:
+    return {"ok": False, "reason": reason, "error": error}
+
+
+_SHUTDOWN = _failed("shutdown", "executor pool closed")
+
+
 def worker_loop(conn) -> None:
     """Worker process body: evaluate points until the parent hangs up.
 
@@ -849,20 +885,17 @@ def worker_loop(conn) -> None:
 class WorkerSlot:
     """One worker process + pipe, respawned after kills and crashes.
 
-    Public because the sweep executor and the job server
-    (:mod:`repro.serve.server`) share it: both need per-point
-    kill-based cancellation — the only reliable way to stop a hung
-    or wedged native call — with the slot immediately respawned for
-    the next assignment.
+    A slot belongs to one :class:`SlotPool`, which drives it: a point
+    that hangs or wedges a native call is stopped by killing the
+    process (the only reliable way) and the slot is respawned for the
+    next attempt.
     """
 
     def __init__(self, ctx, index: int = 0) -> None:
         self._ctx = ctx
         self.index = index
         self.busy_point: Optional[SweepPoint] = None
-        self.busy_attempt = 0
         self.deadline: Optional[float] = None
-        self.assigned_ts: float = 0.0
         self._spawn()
 
     def _spawn(self) -> None:
@@ -880,13 +913,10 @@ class WorkerSlot:
             os.environ.pop(spans.SPAN_SLOT_ENV, None)
         child_conn.close()
 
-    def assign(self, point: SweepPoint, attempt: int,
-               timeout: Optional[float]) -> None:
+    def assign(self, point: SweepPoint, timeout: Optional[float]) -> None:
         self.busy_point = point
-        self.busy_attempt = attempt
         self.deadline = (time.monotonic() + timeout
                          if timeout is not None else None)
-        self.assigned_ts = time.time()
         self.conn.send(point)
 
     def release(self) -> None:
@@ -917,125 +947,147 @@ class WorkerSlot:
         self.conn.close()
 
 
-def _run_batch_parallel(
-    batch: Sequence[SweepPoint],
-    workers: int,
-    policy: SweepPolicy,
-    count: Callable[..., None],
-    on_point_done: Callable[[SweepPoint, RunRecord, float], None],
-    on_point_quarantined: Callable[[PointFailure], None],
-) -> None:
-    """Drive a batch through worker slots with timeout/retry/quarantine.
+class SlotPool:
+    """The engine's point executor: worker slots, one attempt classifier
+    and one retry loop, shared by :func:`run_sweep` and the job server.
 
-    Unlike a ``ProcessPoolExecutor`` — where a hung task occupies its
-    worker forever and a crashed worker breaks the whole pool — each
-    slot's process can be killed and respawned independently, which is
-    what makes per-point cancellation and crash isolation possible.
+    ``SlotPool(n)`` owns ``n`` killable worker processes
+    (:class:`WorkerSlot`) behind a free queue. Unlike a
+    ``ProcessPoolExecutor``, where a hung task holds its worker forever
+    and a dead worker breaks the whole pool, each slot is killed and
+    respawned on its own. ``SlotPool(0)`` owns no processes and runs each
+    attempt inline in the calling thread (serial sweeps, the
+    no-disk-cache fallback, ``ServerConfig(workers=0)``); nothing can
+    cancel an inline attempt, so timeouts are not enforced there.
+
+    :meth:`run_point` and :meth:`run_with_retries` block and are
+    thread-safe: the parallel sweep calls the loop from one thread per
+    slot, the job server through ``asyncio.to_thread``. :meth:`close`
+    sets :attr:`closed`, which ends running attempts and backoffs as
+    ``shutdown`` outcomes.
     """
-    if not batch:
-        return
-    ctx = multiprocessing.get_context()
-    slots = [WorkerSlot(ctx, index)
-             for index in range(min(workers, len(batch)))]
-    # (ready_at, sequence, attempt, point): a heap so backoff delays and
-    # fresh points interleave correctly; sequence breaks ties FIFO.
-    sequence = itertools.count()
-    queue: List[Tuple[float, int, int, SweepPoint]] = []
-    now = time.monotonic()
-    for point in batch:
-        heapq.heappush(queue, (now, next(sequence), 0, point))
-    outstanding = len(batch)
 
-    def fail(slot_point: SweepPoint, attempt: int, reason: str,
-             error: str) -> None:
-        nonlocal outstanding
-        count({"timeout": "timeouts", "crash": "crashes"}
-              .get(reason, "errors"), point=slot_point)
-        if attempt < policy.max_retries:
-            count("retries", point=slot_point)
-            delay = policy.backoff_delay(record_key(slot_point), attempt)
-            spans.emit_instant("sweep/backoff", point=slot_point.label(),
-                               attempt=attempt + 1, delay_seconds=delay)
-            heapq.heappush(queue, (
-                time.monotonic() + delay, next(sequence),
-                attempt + 1, slot_point))
-        else:
-            outstanding -= 1
-            on_point_quarantined(
-                PointFailure(slot_point, attempt + 1, reason, error))
+    def __init__(self, workers: int) -> None:
+        ctx = multiprocessing.get_context()
+        self._slots = [WorkerSlot(ctx, index) for index in range(workers)]
+        self._free: "queue.SimpleQueue[WorkerSlot]" = queue.SimpleQueue()
+        for slot in self._slots:
+            self._free.put(slot)
+        self.closed = threading.Event()
 
-    try:
-        while outstanding > 0:
-            now = time.monotonic()
-            # Hand ready work to idle slots.
-            for slot in slots:
-                if (slot.busy_point is None and queue
-                        and queue[0][0] <= now):
-                    _, _, attempt, point = heapq.heappop(queue)
-                    slot.assign(point, attempt, policy.timeout_seconds)
-            # Wait for a result, a deadline, or a retry becoming ready.
-            busy = [s for s in slots if s.busy_point is not None]
-            wake_times = [s.deadline for s in busy
-                          if s.deadline is not None]
-            if queue and any(s.busy_point is None for s in slots):
-                wake_times.append(queue[0][0])
-            timeout = None
-            if wake_times:
-                timeout = max(0.0, min(wake_times) - time.monotonic())
-            if busy:
-                readable = multiprocessing.connection.wait(
-                    [s.conn for s in busy], timeout)
-            else:
-                readable = []
-                if timeout:
-                    time.sleep(min(timeout, 0.05))
-            by_conn = {s.conn: s for s in busy}
-            for conn in readable:
-                slot = by_conn[conn]
-                point, attempt = slot.busy_point, slot.busy_attempt
-                assigned_ts = slot.assigned_ts
-                try:
-                    outcome = slot.conn.recv()
-                except (EOFError, OSError):
-                    # Hard worker death (os._exit, segfault, OOM-kill).
-                    slot.respawn()
-                    spans.emit_span(
-                        "sweep/point", assigned_ts, point=point.label(),
-                        attempt=attempt, slot=slot.index, outcome="crash")
-                    fail(point, attempt, "crash",
-                         "worker process died mid-point")
-                    continue
-                slot.release()
-                spans.emit_span(
-                    "sweep/point", assigned_ts, point=point.label(),
-                    attempt=attempt, slot=slot.index,
-                    outcome="ok" if outcome["ok"] else "error")
-                if outcome["ok"]:
-                    outstanding -= 1
-                    record = RunRecord.from_payload(outcome["payload"])
-                    on_point_done(point, record, outcome["wall_seconds"])
-                else:
-                    fail(point, attempt, "error", outcome["error"])
-            # Deadline pass: anything still busy past its deadline hangs.
-            now = time.monotonic()
-            for slot in slots:
-                if (slot.busy_point is not None
-                        and slot.deadline is not None
-                        and now >= slot.deadline
-                        and not slot.conn.poll()):
-                    point, attempt = slot.busy_point, slot.busy_attempt
-                    assigned_ts = slot.assigned_ts
-                    slot.respawn()
-                    spans.emit_span(
-                        "sweep/point", assigned_ts, point=point.label(),
-                        attempt=attempt, slot=slot.index,
-                        outcome="timeout")
-                    spans.emit_instant(
-                        "sweep/timeout_kill", point=point.label(),
-                        slot=slot.index,
-                        timeout_seconds=policy.timeout_seconds)
-                    fail(point, attempt, "timeout",
-                         f"exceeded {policy.timeout_seconds}s timeout")
-    finally:
-        for slot in slots:
+    def run_point(self, point: SweepPoint, attempt: int,
+                  timeout: Optional[float]) -> Dict[str, Any]:
+        """Run one attempt of ``point`` and classify how it ended.
+
+        This is the only place an attempt becomes an outcome. Every
+        outcome carries ``ok``, ``attempt``, ``slot`` (None inline) and
+        ``start_ts``. A success adds ``record`` and ``wall_seconds``; a
+        failure adds ``error`` and a ``reason``: ``error`` (the point
+        raised), ``crash`` (the worker died), ``timeout`` (killed past
+        ``timeout`` seconds) or ``shutdown`` (the pool closed).
+        """
+        info = {"attempt": attempt, "slot": None, "start_ts": time.time()}
+        if not self._slots:
+            return {**info, **self._run_inline(point)}
+        slot = self._checkout()
+        if slot is None:
+            return {**info, **_SHUTDOWN}
+        info["slot"] = slot.index
+        try:
+            return {**info, **self._drive(slot, point, timeout)}
+        finally:
+            self._free.put(slot)
+
+    def _run_inline(self, point: SweepPoint) -> Dict[str, Any]:
+        if self.closed.is_set():
+            return dict(_SHUTDOWN)
+        start = time.perf_counter()
+        try:
+            record = execute_point(point)
+        except Exception as exc:
+            return _failed("error", repr(exc))
+        return {"ok": True, "record": record,
+                "wall_seconds": time.perf_counter() - start}
+
+    def _checkout(self) -> Optional[WorkerSlot]:
+        """A free slot, or None once the pool is closed."""
+        while not self.closed.is_set():
+            try:
+                return self._free.get(timeout=0.05)
+            except queue.Empty:
+                pass
+        return None
+
+    def _drive(self, slot: WorkerSlot, point: SweepPoint,
+               timeout: Optional[float]) -> Dict[str, Any]:
+        try:
+            slot.assign(point, timeout)
+        except (BrokenPipeError, OSError):
+            slot.respawn()
+            return _failed("crash", "worker pipe lost on assign")
+        while not slot.conn.poll(0.05):
+            if self.closed.is_set():
+                return dict(_SHUTDOWN)  # close() stops the worker
+            if slot.deadline is not None \
+                    and time.monotonic() >= slot.deadline:
+                slot.respawn()
+                return _failed("timeout", f"exceeded {timeout}s timeout")
+        try:
+            reply = slot.conn.recv()
+        except (EOFError, OSError):
+            # Hard worker death (os._exit, segfault, OOM-kill).
+            slot.respawn()
+            return _failed("crash", "worker process died mid-point")
+        slot.release()
+        if not reply["ok"]:
+            return _failed("error", reply["error"])
+        return {"ok": True, "record": RunRecord.from_payload(reply["payload"]),
+                "wall_seconds": reply["wall_seconds"]}
+
+    def run_with_retries(
+        self,
+        point: SweepPoint,
+        policy: SweepPolicy,
+        publish: Callable[[str, SweepPoint, Dict[str, Any]], None],
+    ) -> Dict[str, Any]:
+        """Attempt ``point`` until it succeeds or ``policy`` gives up.
+
+        The one retry loop. A failed attempt is retried after
+        ``policy.backoff_delay`` up to ``policy.max_retries`` times; a
+        ``shutdown`` outcome is never retried, and closing the pool
+        during a backoff ends the loop at once. ``publish(event, point,
+        info)`` runs on this thread: ``"attempt"`` with each outcome,
+        ``"retry"`` with ``key``, ``attempt`` and ``delay_seconds``
+        before each backoff. Returns the last outcome, with
+        ``attempts`` (how many were started).
+        """
+        attempt = 0
+        while True:
+            outcome = self.run_point(point, attempt, policy.timeout_seconds)
+            outcome["attempts"] = attempt + 1
+            publish("attempt", point, outcome)
+            if (outcome["ok"] or outcome["reason"] == "shutdown"
+                    or attempt >= policy.max_retries):
+                return outcome
+            key = record_key(point)
+            delay = policy.backoff_delay(key, attempt)
+            attempt += 1
+            publish("retry", point, {"key": key, "attempt": attempt,
+                                     "delay_seconds": delay})
+            if self.closed.wait(delay):
+                return {**_SHUTDOWN, "attempts": attempt}
+
+    def close(self) -> None:
+        """End running attempts and backoffs, then stop every worker."""
+        if self.closed.is_set():
+            return
+        self.closed.set()
+        # Running attempts notice within one poll interval and hand
+        # their slot back; stopping a slot under them would race.
+        for _ in self._slots:
+            try:
+                self._free.get(timeout=5)
+            except queue.Empty:
+                break
+        for slot in self._slots:
             slot.shutdown()

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import Any, Dict, IO, List, Optional, Tuple, Union
@@ -55,7 +56,9 @@ class SpanRecorder:
 
     Records carry a per-recorder ``seq`` so a stable merge order exists
     even when two events share a timestamp. ``slot`` is the sweep slot
-    lane (None for the parent / serial execution).
+    lane (None for the parent / serial execution). Emitting is
+    thread-safe: the executor's pool threads publish into the parent's
+    recorder alongside the thread that owns it.
     """
 
     def __init__(self, path: Union[str, Path], role: str = "worker",
@@ -65,6 +68,7 @@ class SpanRecorder:
         self.role = role
         self.slot = slot
         self._seq = 0
+        self._lock = threading.Lock()
         self.path.parent.mkdir(parents=True, exist_ok=True)
         fresh = not self.path.exists() or self.path.stat().st_size == 0
         self._fh: Optional[IO[str]] = open(self.path, "a", encoding="utf-8")
@@ -85,17 +89,18 @@ class SpanRecorder:
 
     def _emit(self, kind: str, name: str, ts: float, dur: float,
               attrs: Dict[str, Any]) -> None:
-        self._seq += 1
-        self._write({
-            "type": kind,
-            "name": name,
-            "ts": ts,
-            "dur": dur,
-            "pid": self.pid,
-            "slot": self.slot,
-            "seq": self._seq,
-            "attrs": attrs,
-        })
+        with self._lock:
+            self._seq += 1
+            self._write({
+                "type": kind,
+                "name": name,
+                "ts": ts,
+                "dur": dur,
+                "pid": self.pid,
+                "slot": self.slot,
+                "seq": self._seq,
+                "attrs": attrs,
+            })
 
     def instant(self, name: str, **attrs: Any) -> None:
         """A point-in-time event (retry, cache hit, quarantine, ...)."""

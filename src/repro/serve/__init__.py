@@ -10,8 +10,8 @@ drives thousands of simulated clients against it deterministically.
 
 * :mod:`repro.serve.jobs` — request validation and job lifecycle;
 * :mod:`repro.serve.store` — L1 LRU + L2 disk cache + coalescing map;
-* :mod:`repro.serve.server` — HTTP server, slot pool, admission,
-  shutdown;
+* :mod:`repro.serve.server` — HTTP server, admission, shutdown
+  (execution runs on the engine's :class:`~repro.engine.sweep.SlotPool`);
 * :mod:`repro.serve.loadgen` — deterministic zipf-skewed load schedules
   and the drivers that replay them (in-process or over sockets).
 """
@@ -28,7 +28,6 @@ from repro.serve.loadgen import (
 from repro.serve.server import (
     JobServer,
     ServerConfig,
-    SlotPool,
     http_request,
     run_service,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "DiskBackend",
     "LruCache",
     "ServerConfig",
-    "SlotPool",
     "TieredStore",
     "build_population",
     "build_schedule",

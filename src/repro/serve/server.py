@@ -3,13 +3,13 @@
 One-shot CLI runs don't serve concurrent clients; this module layers a
 job API over the machinery the repo already trusts:
 
-* **Execution** is `execute_point` — the same single entry point the
-  sweep engine and the serial facade use — run either inline (a worker
-  thread in this process, ``workers=0``, fully deterministic) or on a
-  :class:`SlotPool` of killable worker processes reusing the sweep
-  executor's :class:`~repro.engine.sweep.WorkerSlot` (per-job timeout →
-  kill + respawn, crash isolation, bounded retries with the sweep's
-  deterministic backoff).
+* **Execution** is the engine's one point executor,
+  :class:`~repro.engine.sweep.SlotPool`, the same one sweeps use: a
+  pool of killable worker processes (per-job timeout → kill + respawn,
+  crash isolation), or ``workers=0`` to run jobs inline in a thread of
+  this process (fully deterministic). Each computed job makes one
+  ``asyncio.to_thread`` hop into the pool's retry loop, which retries
+  failed attempts with the sweep's deterministic backoff.
 * **Results** flow through the tiered store
   (:class:`~repro.serve.store.TieredStore`): L1 in-process LRU, L2 the
   checksum-validated disk cache shared with sweeps.
@@ -41,8 +41,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import multiprocessing
-import queue as queue_mod
+import threading
 import time
 import urllib.parse
 from dataclasses import dataclass
@@ -50,10 +49,10 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.engine import diskcache
 from repro.engine.sweep import (
+    FAILURE_STATS,
+    SlotPool,
     SweepPoint,
     SweepPolicy,
-    WorkerSlot,
-    execute_point,
 )
 from repro.obs import spans
 from repro.serve.jobs import Job, JobSpec, JobValidationError
@@ -69,17 +68,14 @@ _REASONS = {
     500: "Internal Server Error", 503: "Service Unavailable",
 }
 
-#: Execution failure reason -> server stats counter.
-_FAIL_STATS = {"timeout": "timeouts", "crash": "crashes",
-               "error": "errors", "shutdown": "shutdowns"}
-
 
 @dataclass
 class ServerConfig:
     """Service tuning knobs (all have serving-scale defaults).
 
     Attributes:
-        workers: Worker *processes* (the slot pool). ``0`` runs jobs
+        workers: Worker *processes* in the executor's
+            :class:`~repro.engine.sweep.SlotPool`. ``0`` runs jobs
             inline in a thread of this process — deterministic and
             fault-transparent, but without kill-based cancellation, so
             ``timeout_seconds`` is ignored there.
@@ -89,8 +85,9 @@ class ServerConfig:
             (``X-Client-Id`` header, else the peer address); beyond it
             submissions get 429.
         timeout_seconds / max_retries / backoff_*: Per-job failure
-            policy, identical semantics to the sweep engine's
-            :class:`~repro.engine.sweep.SweepPolicy`.
+            policy, a :class:`~repro.engine.sweep.SweepPolicy` run by
+            the same retry loop as sweeps
+            (:meth:`~repro.engine.sweep.SlotPool.run_with_retries`).
         l1_capacity: L1 LRU entries (complete RunRecord payloads).
         retry_after_seconds: Value clients see in ``Retry-After``.
         drain_seconds: Graceful-shutdown budget for in-flight jobs.
@@ -118,75 +115,6 @@ class ServerConfig:
             max_retries=self.max_retries,
             backoff_base_seconds=self.backoff_base_seconds,
             backoff_max_seconds=self.backoff_max_seconds)
-
-
-class SlotPool:
-    """A fixed set of killable worker processes behind a free queue.
-
-    :meth:`run_point` is blocking (the server calls it via
-    ``asyncio.to_thread``) and thread-safe: each call checks a slot
-    out, drives one attempt to an outcome — success, crash (worker
-    death → respawn), or timeout (kill + respawn) — and checks the
-    slot back in. Kill-based cancellation is the whole reason worker
-    processes exist: a hung or wedged native call cannot be cancelled
-    any other way.
-    """
-
-    def __init__(self, workers: int) -> None:
-        ctx = multiprocessing.get_context()
-        self._slots = [WorkerSlot(ctx, index) for index in range(workers)]
-        self._free: "queue_mod.SimpleQueue[WorkerSlot]" = \
-            queue_mod.SimpleQueue()
-        for slot in self._slots:
-            self._free.put(slot)
-        self._closed = False
-
-    def run_point(self, point: SweepPoint, attempt: int,
-                  timeout: Optional[float]) -> Dict[str, Any]:
-        """Run one attempt of ``point`` on a free slot (blocking)."""
-        slot = self._free.get()
-        try:
-            try:
-                slot.assign(point, attempt, timeout)
-            except (BrokenPipeError, OSError):
-                slot.respawn()
-                return {"ok": False, "reason": "crash",
-                        "error": "worker pipe lost on assign"}
-            while True:
-                if self._closed:
-                    slot.respawn()
-                    return {"ok": False, "reason": "shutdown",
-                            "error": "server shutting down"}
-                now = time.monotonic()
-                if (slot.deadline is not None and now >= slot.deadline
-                        and not slot.conn.poll()):
-                    slot.respawn()
-                    spans.emit_instant(
-                        "serve/timeout_kill", point=point.label(),
-                        slot=slot.index, timeout_seconds=timeout)
-                    return {"ok": False, "reason": "timeout",
-                            "error": f"exceeded {timeout}s timeout"}
-                if not slot.conn.poll(0.05):
-                    continue
-                try:
-                    outcome = slot.conn.recv()
-                except (EOFError, OSError):
-                    slot.respawn()
-                    return {"ok": False, "reason": "crash",
-                            "error": "worker process died mid-job"}
-                slot.release()
-                if outcome["ok"]:
-                    return {"ok": True, "payload": outcome["payload"],
-                            "wall_seconds": outcome["wall_seconds"]}
-                return {"ok": False, "reason": "error",
-                        "error": outcome["error"]}
-        finally:
-            self._free.put(slot)
-
-    def shutdown(self) -> None:
-        self._closed = True
-        for slot in self._slots:
-            slot.shutdown()
 
 
 class JobServer:
@@ -223,6 +151,8 @@ class JobServer:
         self._inflight_specs: Dict[str, JobSpec] = {}
         self._queued_keys: Dict[str, JobSpec] = {}
         self._exec_tasks: set = set()
+        # The pool's threads publish retries and failures into stats.
+        self._stats_lock = threading.Lock()
         self._accepting = False
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._pool: Optional[SlotPool] = None
@@ -237,8 +167,7 @@ class JobServer:
         """Start the execution backend; returns restored-job count."""
         self._loop = asyncio.get_running_loop()
         self._exec_sem = asyncio.Semaphore(max(1, self.config.workers))
-        if self.config.workers > 0:
-            self._pool = SlotPool(self.config.workers)
+        self._pool = SlotPool(self.config.workers)
         self._accepting = True
         restored = self._restore_queue() if restore else 0
         spans.emit_instant("serve/start", workers=self.config.workers,
@@ -299,7 +228,7 @@ class JobServer:
         await asyncio.sleep(0)
         checkpointed = self._save_checkpoint(interrupted)
         if self._pool is not None:
-            self._pool.shutdown()
+            self._pool.close()
             self._pool = None
         drained = len(tasks) - len(pending)
         spans.emit_instant("serve/drained", drained=drained,
@@ -468,43 +397,26 @@ class JobServer:
     # ------------------------------------------------------------------
     async def _execute(self, key: str, spec: JobSpec) -> None:
         point = spec.to_point()
-        policy = self.config.policy()
         self._queued_keys[key] = spec
         start_ts = time.time()
-        outcome: Dict[str, Any]
         try:
-            assert self._exec_sem is not None
+            assert self._exec_sem is not None and self._pool is not None
             async with self._exec_sem:
                 self._queued_keys.pop(key, None)
-                attempt = 0
-                while True:
-                    result = await self._run_once(point, attempt)
-                    if result["ok"]:
-                        self.store.admit(key, result["payload"])
-                        self.stats["computed"] += 1
-                        outcome = {"ok": True,
-                                   "payload": result["payload"],
-                                   "attempts": attempt + 1}
-                        break
-                    self.stats[_FAIL_STATS[result["reason"]]] += 1
-                    if (result["reason"] == "shutdown"
-                            or attempt >= policy.max_retries):
-                        self.stats["failed"] += 1
-                        outcome = {"ok": False,
-                                   "reason": result["reason"],
-                                   "error": result["error"],
-                                   "attempts": attempt + 1}
-                        break
-                    self.stats["retries"] += 1
-                    delay = policy.backoff_delay(key, attempt)
-                    spans.emit_instant("serve/backoff", key=key,
-                                       attempt=attempt + 1,
-                                       delay_seconds=delay)
-                    await asyncio.sleep(delay)
-                    attempt += 1
+                outcome = await asyncio.to_thread(
+                    self._pool.run_with_retries, point,
+                    self.config.policy(), self._publish)
         finally:
             self._queued_keys.pop(key, None)
             self._inflight_specs.pop(key, None)
+        if outcome["ok"]:
+            payload = outcome["record"].to_payload()
+            self.store.admit(key, payload)
+            self.stats["computed"] += 1
+            outcome = {"ok": True, "payload": payload,
+                       "attempts": outcome["attempts"]}
+        else:
+            self.stats["failed"] += 1
         spans.emit_span("serve/execute", start_ts, key=key,
                         point=point.label(), ok=outcome["ok"],
                         attempts=outcome["attempts"])
@@ -512,22 +424,23 @@ class JobServer:
         if future is not None and not future.done():
             future.set_result(outcome)
 
-    async def _run_once(self, point: SweepPoint,
-                        attempt: int) -> Dict[str, Any]:
-        if self._pool is not None:
-            return await asyncio.to_thread(
-                self._pool.run_point, point, attempt,
-                self.config.timeout_seconds)
-
-        def _inline() -> Dict[str, Any]:
-            try:
-                payload = execute_point(point).to_payload()
-            except BaseException as exc:
-                return {"ok": False, "reason": "error",
-                        "error": repr(exc)}
-            return {"ok": True, "payload": payload}
-
-        return await asyncio.to_thread(_inline)
+    def _publish(self, event: str, point: SweepPoint,
+                 info: Dict[str, Any]) -> None:
+        """Executor events; runs on the pool's thread."""
+        if event == "retry":
+            with self._stats_lock:
+                self.stats["retries"] += 1
+            spans.emit_instant("serve/backoff", key=info["key"],
+                               attempt=info["attempt"],
+                               delay_seconds=info["delay_seconds"])
+        elif not info["ok"]:
+            with self._stats_lock:
+                self.stats[FAILURE_STATS[info["reason"]]] += 1
+            if info["reason"] == "timeout":
+                spans.emit_instant(
+                    "serve/timeout_kill", point=point.label(),
+                    slot=info["slot"],
+                    timeout_seconds=self.config.timeout_seconds)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -7,11 +7,14 @@ bit-identical (``to_payload()`` equality) to a clean serial run in a
 pristine cache, i.e. fault handling never changes results, only
 availability.
 
-Worker-death scenarios (hard kill, hang+timeout) need the parallel
-executor; exception-style faults are also exercised through the serial
-path. The kill-mid-sweep scenario runs a real child Python process that
-``os._exit``\\ s partway through and asserts ``--resume`` semantics:
-nothing already cached is recomputed.
+``TestRetryLoop`` drives the executor's one retry loop
+(``SlotPool.run_with_retries``, shared by sweeps and the job server)
+with a fake attempt function. Worker-death scenarios (hard kill,
+hang+timeout) need the parallel executor; exception-style faults are
+also exercised through the serial path. The kill-mid-sweep scenario
+runs a real child Python process that ``os._exit``\\ s partway through
+and asserts ``--resume`` semantics: nothing already cached is
+recomputed.
 """
 
 import json
@@ -19,11 +22,14 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
+import time
 
 import pytest
 
 from repro.engine import diskcache, faults
 from repro.engine.sweep import (
+    SlotPool,
     SweepPoint,
     SweepPointError,
     SweepPolicy,
@@ -388,3 +394,99 @@ class TestCheckpoint:
         # A different plan has its own checkpoint (initially absent...
         # though its points are already cached by the bigger sweep).
         assert load_checkpoint(other) is None
+
+
+class TestRetryLoop:
+    """``SlotPool.run_with_retries`` with a fake attempt function: every
+    decision of the one retry loop sweeps and the job server share."""
+
+    POINT = SweepPoint("gamma", "wiki-Vote", "none")
+    OK = {"ok": True, "record": None, "wall_seconds": 0.0}
+    ERROR = {"ok": False, "reason": "error", "error": "boom"}
+    SHUTDOWN = {"ok": False, "reason": "shutdown", "error": "closed"}
+
+    def scripted(self, outcomes):
+        """An inline pool whose attempts return ``outcomes`` in turn and
+        whose backoff waits are recorded instead of slept."""
+        pool = SlotPool(0)
+        calls, waits = [], []
+
+        def attempt(point, attempt, timeout):
+            calls.append(attempt)
+            return {"attempt": attempt, "slot": None, "start_ts": 0.0,
+                    **outcomes[len(calls) - 1]}
+
+        class RecordedWait(threading.Event):
+            def wait(self, timeout=None):
+                waits.append(timeout)
+                return self.is_set()
+
+        pool.run_point = attempt
+        pool.closed = RecordedWait()
+        return pool, calls, waits
+
+    def test_delays_follow_the_policy(self):
+        policy = SweepPolicy(max_retries=3, **FAST)
+        pool, calls, waits = self.scripted(
+            [self.ERROR, self.ERROR, self.OK])
+        events = []
+        outcome = pool.run_with_retries(
+            self.POINT, policy, lambda event, point, info: events.append(
+                (event, info["attempt"])))
+        assert outcome["ok"] and outcome["attempts"] == 3
+        assert calls == [0, 1, 2]
+        key = record_key(self.POINT)
+        assert waits == [policy.backoff_delay(key, 0),
+                         policy.backoff_delay(key, 1)]
+        assert events == [("attempt", 0), ("retry", 1), ("attempt", 1),
+                          ("retry", 2), ("attempt", 2)]
+
+    def test_exhausted_retries_return_the_last_failure(self):
+        policy = SweepPolicy(max_retries=2, **FAST)
+        pool, calls, waits = self.scripted([self.ERROR] * 5)
+        outcome = pool.run_with_retries(
+            self.POINT, policy, lambda *args: None)
+        assert (outcome["ok"], outcome["reason"]) == (False, "error")
+        assert outcome["attempts"] == policy.max_retries + 1
+        assert calls == [0, 1, 2]
+        assert len(waits) == policy.max_retries
+
+    def test_shutdown_is_not_retried(self):
+        pool, calls, waits = self.scripted([self.SHUTDOWN, self.OK])
+        outcome = pool.run_with_retries(
+            self.POINT, SweepPolicy(max_retries=3, **FAST),
+            lambda *args: None)
+        assert (outcome["reason"], outcome["attempts"]) == ("shutdown", 1)
+        assert calls == [0] and waits == []
+
+    def test_close_during_backoff_ends_the_loop(self):
+        """Closing the pool cuts a backoff short; no attempt follows."""
+        pool = SlotPool(0)
+        calls = []
+        in_backoff = threading.Event()
+
+        def attempt(point, attempt, timeout):
+            calls.append(attempt)
+            return {"attempt": attempt, "slot": None, "start_ts": 0.0,
+                    **self.ERROR}
+
+        def publish(event, point, info):
+            if event == "retry":
+                in_backoff.set()
+
+        pool.run_point = attempt
+        slow = SweepPolicy(max_retries=3, backoff_base_seconds=60.0,
+                           backoff_max_seconds=60.0)
+        outcomes = []
+        loop = threading.Thread(target=lambda: outcomes.append(
+            pool.run_with_retries(self.POINT, slow, publish)), daemon=True)
+        loop.start()
+        assert in_backoff.wait(10)
+        started = time.monotonic()
+        pool.close()
+        loop.join(10)
+        assert not loop.is_alive()
+        assert time.monotonic() - started < 5  # the backoff was >= 60 s
+        assert (outcomes[0]["reason"], outcomes[0]["attempts"]) == \
+            ("shutdown", 1)
+        assert calls == [0]

@@ -336,17 +336,27 @@ class TestAdmission:
 # ----------------------------------------------------------------------
 # Graceful shutdown: drain + queue checkpoint + restore
 # ----------------------------------------------------------------------
+def stall_until_closed(server):
+    """Make every attempt hang until the server closes its pool, then
+    end as ``shutdown`` — what ``SlotPool.run_point`` does to an attempt
+    still running when the pool closes."""
+    pool = server._pool
+
+    def stalled(point, attempt, timeout):
+        pool.closed.wait()
+        return {"ok": False, "reason": "shutdown", "error": "pool closed",
+                "attempt": attempt, "slot": None, "start_ts": 0.0}
+
+    pool.run_point = stalled
+
+
 class TestShutdown:
     @pytest.mark.timeout(120)
     def test_undrained_jobs_error_cleanly_and_checkpoint(self):
         async def scenario():
             server = await booted(drain_seconds=0.1,
                                   checkpoint_tag="drain-test")
-
-            async def stuck(point, attempt):
-                await asyncio.sleep(60)
-
-            server._run_once = stuck
+            stall_until_closed(server)
             status, body, _ = server.submit(SPEC, "t")
             assert status == 202
             await asyncio.sleep(0.05)
@@ -363,11 +373,7 @@ class TestShutdown:
     def test_restart_restores_checkpointed_queue(self):
         async def interrupted():
             server = await booted(drain_seconds=0.1, checkpoint_tag="rr")
-
-            async def stuck(point, attempt):
-                await asyncio.sleep(60)
-
-            server._run_once = stuck
+            stall_until_closed(server)
             server.submit(SPEC, "t")
             await asyncio.sleep(0.05)
             await server.shutdown(drain=True)
