@@ -228,10 +228,9 @@ REF_MODEL_POINTS = [
 
 #: Deep-tree points: (matrix, num_pes, radix). A small PE radix forces
 #: multi-level task trees on large suite matrices, so interior merge
-#: tasks and root emits dominate the dispatch mix — the scalar tail the
-#: interior-cohort epochs eliminate. Both engines run every point
-#: (``model-deep/*`` and ``model-ref-deep/*`` rows); the batched rows
-#: carry the engine's dispatch split in their detail blob.
+#: tasks and root emits dominate the dispatch mix. Both engines run
+#: every point (``model-deep/*`` and ``model-ref-deep/*`` rows); the
+#: batched rows carry the engine's dispatch split in their detail blob.
 DEEP_MODEL_POINTS = [
     ("webbase-1M", 8, 4),
     ("roadNet-CA", 8, 2),
@@ -240,6 +239,12 @@ DEEP_MODEL_POINTS = [
 QUICK_DEEP_MODEL_POINTS = [
     ("wiki-Vote", 4, 2),
 ]
+
+#: Each deep-tree row's wall is the minimum over this many runs, in the
+#: pinned report and in ``--guard-deep`` alike: a single timing of the
+#: same tree swings the guarded ref/batched ratio by more than the
+#: guard's 10% threshold.
+DEEP_RUNS = 3
 
 
 def guarded_rows() -> list:
@@ -306,7 +311,10 @@ def bench_models(quick: bool) -> list:
 
 
 def bench_deep_models(quick: bool) -> list:
-    """Deep-task-tree points: small radix, interior-dominated dispatch."""
+    """Deep-task-tree points: small radix, interior-dominated dispatch.
+
+    Each row's ``wall_s`` is the minimum of ``DEEP_RUNS`` runs.
+    """
     import dataclasses
 
     from repro.core import GammaSimulator
@@ -328,11 +336,15 @@ def bench_deep_models(quick: bool) -> list:
     for prefix, simulator_class, (matrix, num_pes, radix) in points:
         a, b = suite.operands(matrix)
         config = dataclasses.replace(base, num_pes=num_pes, radix=radix)
-        start = time.perf_counter()
-        result = simulator_class(config, keep_output=False).run(a, b)
-        wall = time.perf_counter() - start
+        walls = []
+        for _ in range(DEEP_RUNS):
+            start = time.perf_counter()
+            result = simulator_class(config, keep_output=False).run(a, b)
+            walls.append(time.perf_counter() - start)
+        wall = min(walls)
         detail = {"matrix": matrix, "num_pes": num_pes, "radix": radix,
-                  "cycles": result.cycles, "tasks": result.num_tasks}
+                  "cycles": result.cycles, "tasks": result.num_tasks,
+                  "runs_wall_s": walls}
         dispatch = getattr(result, "dispatch", None)
         if dispatch is not None:
             detail["dispatch"] = dict(dispatch)
@@ -517,7 +529,8 @@ def guard_deep(pinned_path: str, threshold: float = 0.9) -> int:
     """CI regression guard over the deep-tree model rows.
 
     Re-runs every ``DEEP_MODEL_POINTS`` entry through both engines on
-    the current tree and compares each point's engine-speed ratio
+    the current tree (each row the minimum of ``DEEP_RUNS`` runs, as in
+    the pinned report) and compares each point's engine-speed ratio
     (reference wall / batched wall) against the same ratio in the
     pinned trajectory's ``after`` report. The ratio form makes the
     check machine-independent — CI runners and the pinning machine

@@ -293,18 +293,23 @@ class Scheduler:
 class EpochScheduler(Scheduler):
     """Scheduler with epoch extraction for the batched simulator core.
 
-    Two additions over the base dynamic scheduler, both bit-neutral:
+    Additions over the base dynamic scheduler, all bit-neutral:
 
     * *Simple* work items — untiled rows fitting the radix
       (``num_parts == 1`` and ``nnz <= radix``), i.e. items whose whole
       task tree is one final leaf — expand to an array-backed
       :class:`~repro.core.tasks.LeafTask` instead of a one-leaf tree of
       ``TaskInput`` objects. Task-id consumption, ready keys, and every
-      counter match the base expansion exactly.
-    * :meth:`drain_stretch` pops the run of dispatches the reference
-      event loop would perform back-to-back with timing-independent
-      order, handing the batched core whole epochs of index-addressable
-      tasks instead of one ``next_task()`` pull per dispatch.
+      counter match the base expansion exactly. Leaves of real task
+      trees get the same ``b_coords``/``b_scales`` arrays, so every
+      level-0 task is array-backed.
+    * :meth:`drain_ready` hands the batched core the whole ready heap as
+      one batch, :meth:`fence_plan` says how far the reference loop
+      would dispatch it back to back, and :meth:`push_back` returns the
+      undispatched suffix. :meth:`take_simple_items` extends a batch
+      that cannot stop early with simple items straight off the
+      program cursor, and :meth:`refill_epoch` replays the reference's
+      between-dispatch refills inside a batch.
     """
 
     def _is_simple(self, item: WorkItem) -> bool:
@@ -329,37 +334,51 @@ class EpochScheduler(Scheduler):
             return True
         return super()._expand_next_item()
 
+    def _register_tasks(self, tree: Sequence[Task]) -> None:
+        for task in tree:
+            if task.level == 0:
+                # Tree leaves carry their B inputs as arrays too, built
+                # once here rather than on every batch that drains them.
+                inputs = task.inputs
+                n = len(inputs)
+                task.b_coords = np.fromiter(
+                    (inp.index for inp in inputs), dtype=np.int64, count=n)
+                task.b_scales = np.fromiter(
+                    (inp.scale for inp in inputs), dtype=np.float64,
+                    count=n)
+        super()._register_tasks(tree)
+
     def peek_ready(self) -> Optional[Task]:
         """The task ``next_task`` would dispatch, without popping it."""
         return self._ready[0][1] if self._ready else None
 
-    def fence_plan(self, finish_time, leaf_ids):
-        """Fence and arming plan for a drained run of level-0 leaves.
+    def fence_plan(self, finish_time, batch_ids):
+        """Fence and arming plan for a drained batch.
 
-        While the ready head is a level-0 leaf, every waiting task's
-        remaining dependencies are already dispatched (finish times in
-        ``finish_time``), among the drained leaves (``leaf_ids``, about
-        to dispatch), or stuck behind an undispatched task that is not
-        part of the run — in which case the waiting task cannot unblock
-        during it. A waiting task whose remaining dependencies are all
-        in flight ("armed") becomes ready exactly when the event loop's
-        completion drains reach the latest of those finish times; the
-        *fence* — the minimum over armed tasks — is where the reference
-        loop's dispatch order stops being timing-independent, because
-        the newly ready task preempts every later-ordered leaf.
+        While a drained batch dispatches, every waiting task's remaining
+        dependencies are already dispatched (finish times in
+        ``finish_time``), in the batch (``batch_ids``, about to
+        dispatch), or stuck behind an undispatched task outside it — in
+        which case the waiting task cannot unblock during the batch. A
+        waiting task whose remaining dependencies are all in flight
+        ("armed") becomes ready exactly when the event loop's completion
+        drains reach the latest of those finish times; the *fence* — the
+        minimum over armed tasks — is where the reference loop's
+        dispatch order stops being timing-independent, because the newly
+        ready task preempts every later-ordered task of the batch.
 
         Returns ``(fence, dependents)``. ``fence`` covers tasks armed
-        before the run starts (``inf`` when there are none).
-        ``dependents`` maps each drained leaf id to the mutable records
+        before the batch starts (``inf`` when there are none).
+        ``dependents`` maps each batch task id to the mutable records
         ``[missing_deps, worst_finish]`` of waiting tasks that arm only
-        once that leaf dispatches; the epoch loop folds each dispatch's
+        once that task dispatches; the epoch loop folds each dispatch's
         finish into its records and lowers the fence when a record's
         missing count reaches zero, keeping the stop condition exact
-        while non-final leaves dispatch mid-run.
+        while non-final tasks dispatch mid-batch.
         """
         fence = float("inf")
         dependents: Dict[int, List] = {}
-        leaf_set = set(leaf_ids)
+        batch_set = set(batch_ids)
         completed = self._completed
         for task in self._waiting.values():
             worst = 0.0
@@ -372,7 +391,7 @@ class EpochScheduler(Scheduler):
                 if finish is not None:
                     if finish > worst:
                         worst = finish
-                elif inp.index in leaf_set:
+                elif inp.index in batch_set:
                     if pending_deps is None:
                         pending_deps = [inp.index]
                     else:
@@ -394,16 +413,17 @@ class EpochScheduler(Scheduler):
     def refill_epoch(self, pending_target: int, extra_pending: int) -> None:
         """Mid-epoch :meth:`refill` with drained entries counted as pending.
 
-        The fenced epoch loop holds the undispatched remainder of its
-        drained run outside the ready heap; the reference loop would
-        still have those entries *in* the heap when it refills between
+        The epoch loop holds the undispatched remainder of its drained
+        batch outside the ready heap; the reference loop would still
+        have those entries *in* the heap when it refills between
         dispatches, so its expansion gate compares ``len(ready) +
         extra_pending`` against the target. Replaying that gate after
-        every epoch dispatch matters once non-final leaves dispatch:
-        each one raises ``outstanding_partials``, and an expansion the
-        reference performed just before the budget filled up must not
-        be skipped (nor a skipped one performed) by deferring refills
-        to the epoch boundary. No force branch: with entries still
+        every epoch dispatch matters once the budget moves: each
+        non-final dispatch raises ``outstanding_partials`` and each
+        partial consume lowers it, and an expansion the reference
+        performed just before the budget filled up must not be skipped
+        (nor a skipped one performed) by deferring refills to the epoch
+        boundary. No force branch: with entries still
         undispatched the reference's ready heap is nonempty, so its
         forced-expansion clause never fires mid-run.
         """
@@ -414,123 +434,80 @@ class EpochScheduler(Scheduler):
             if not self._expand_next_item():
                 break
 
-    def drain_ready_leaves(self) -> List:
-        """Pop the run of already-expanded level-0 leaves at the ready head.
+    def drain_ready(self) -> List:
+        """Pop the whole ready heap as one batch, in dispatch order.
 
-        Unlike :meth:`drain_stretch` this never consumes work items off
-        the program cursor: fenced epochs (stretches bounded by
-        :meth:`fence_plan`) may stop mid-batch, and item expansion must
-        then stay aligned with the reference loop's per-dispatch refill
-        gate — which the caller reproduces exactly by refilling between
-        chunks. Both final leaves (simple items' whole trees) and
-        non-final tree leaves drain; the run stops at the first
-        interior task, whose dispatch depends on completion timing.
-        Returns the popped heap entries verbatim so an undispatched
-        suffix can be pushed back untouched.
+        Every popped task's inputs are B rows or partial fibers of tasks
+        that already completed (that is what put it in the ready heap),
+        so the reference loop would dispatch the run back to back in
+        heap order — leaves, interior merges and root emits alike —
+        until a completion drain readies a new task that preempts the
+        rest. :meth:`fence_plan` bounds that point; the caller stops
+        there and returns the undispatched suffix with
+        :meth:`push_back`. Item expansions between dispatches cannot
+        reorder the run: they draw larger row orders, so their tasks
+        sort after every drained entry. Never consumes work items off
+        the program cursor (see :meth:`take_simple_items`). Returns the
+        heap entries verbatim (keys are unique, so sorting never
+        compares tasks).
         """
-        ready = self._ready
-        pop = heapq.heappop
-        entries: List = []
-        while ready:
-            if ready[0][1].level != 0:
-                break
-            entries.append(pop(ready))
-        return entries
-
-    def drain_ready_interiors(self) -> List:
-        """Pop the run of ready interior (level >= 1) tasks at the ready head.
-
-        The interior mirror of :meth:`drain_ready_leaves`: every popped
-        task's inputs are already dispatched and completed (that is what
-        put it in the ready heap), so the run forms a *cohort* whose
-        dispatch order the reference loop fixes by heap priority alone —
-        until its PE-availability horizon reaches the cohort's fence
-        (:meth:`fence_plan` applies unchanged: drained interior ids play
-        the ``leaf_ids`` role). The run stops at the first level-0
-        entry, keeping the specialized leaf epoch paths for leaf work.
-        Returns the popped heap entries verbatim so an undispatched
-        suffix can be pushed back untouched.
-        """
-        ready = self._ready
-        pop = heapq.heappop
-        entries: List = []
-        while ready:
-            if ready[0][1].level == 0:
-                break
-            entries.append(pop(ready))
+        entries = sorted(self._ready)
+        self._ready.clear()
         return entries
 
     def push_back(self, entries) -> None:
-        """Return undispatched :meth:`drain_ready_leaves` entries unchanged."""
+        """Return undispatched :meth:`drain_ready` entries unchanged."""
         ready = self._ready
         push = heapq.heappush
         for entry in entries:
             push(ready, entry)
 
-    def drain_stretch(self, pending_target: int):
-        """Extract a maximal run of timing-independent final-leaf dispatches.
+    def take_simple_items(self):
+        """Consume the run of simple items at the program cursor.
 
-        Returns the run as parallel arrays ``(rows, task_ids, coords,
-        scales)`` — struct-of-arrays form, one entry per dispatch — so
-        the batched core never materializes per-task objects for epoch
-        work.
-
-        The run is exactly the stretch the reference event loop would
-        dispatch back-to-back: every already-expanded final leaf in the
-        ready heap (keys sort below anything expanded later), then
-        *simple* items consumed straight off the program cursor until
-        the first tiled or over-radix item. During such a stretch the
-        reference's per-dispatch refills and completion drains are
-        invisible — dispatched tasks are all final leaves (their
-        completions unblock nothing and free no partial budget, and
-        final task ids are never consulted by a dependency scan), and
-        simple-item expansion reads no completion state — so dispatch
-        order is independent of task timing and the lookahead the
-        reference interleaves converges at the caller's next ``refill``.
-        Task ids and row orders are drawn from the same counters in the
-        same cursor order as per-item expansion, keeping ids aligned
-        with the reference engine. The fence stops the run *before* a
-        complex item is expanded, whose tree/combine registration is
-        timing-sensitive; the caller must guarantee no tasks are waiting
-        on dependencies and that the ready head is a final leaf.
+        The tail of an unstoppable all-final-leaf batch: once the ready
+        heap is empty (the batch drained it), the reference loop's
+        per-dispatch refills would expand the next *simple* items — each
+        a single final leaf — and dispatch them back to back in cursor
+        order. Their completions unblock nothing and free no partial
+        budget (final ids are never consulted by a dependency scan), and
+        simple-item expansion reads no completion state, so the whole
+        run is timing-independent; the lookahead the reference
+        interleaves converges at the caller's next ``refill``. The run
+        stops *before* the first tiled or over-radix item, whose
+        tree/combine registration is timing-sensitive. Task ids and row
+        orders are drawn from the same counters in the same cursor order
+        as per-item expansion, keeping ids aligned with the reference
+        engine, but no task objects are built: the run comes back as
+        parallel lists ``(rows, task_ids, coords, scales)``. Call it
+        only with the ready heap empty. Returns empty lists when the
+        partial budget is full (it never moves during such a run, so one
+        check stands in for the reference's per-refill gate).
         """
-        ready = self._ready
-        pop = heapq.heappop
         rows: List[int] = []
         ids: List[int] = []
         coords: List = []
         scales: List = []
-        while ready:
-            task = ready[0][1]
-            if task.level != 0 or not task.is_final:
-                return rows, ids, coords, scales
-            pop(ready)
-            rows.append(task.row)
-            ids.append(task.task_id)
-            coords.append(task.b_coords)
-            scales.append(task.b_scales)
-        # Ready drained: consume simple items straight off the cursor
-        # (the partial budget never moves during a stretch, so one check
-        # stands in for the reference's per-refill gate).
-        if self.outstanding_partials < self.max_outstanding_partials:
-            items = self.program.items
-            num_items = len(items)
-            radix = self.radix
-            cursor = start = self._item_cursor
-            while cursor < num_items:
-                item = items[cursor]
-                if item.num_parts != 1 or item.nnz > radix:
-                    break
-                rows.append(item.row)
-                coords.append(item.coords)
-                scales.append(item.values)
-                cursor += 1
-            consumed = cursor - start
-            if consumed:
-                self._item_cursor = cursor
-                self.items_consumed += consumed
-                self.tasks_created += consumed
-                ids.extend(itertools.islice(_task_ids, consumed))
-                for _ in range(consumed):
-                    next(self._order_counter)
+        if self.outstanding_partials >= self.max_outstanding_partials:
+            return rows, ids, coords, scales
+        items = self.program.items
+        num_items = len(items)
+        radix = self.radix
+        cursor = start = self._item_cursor
+        while cursor < num_items:
+            item = items[cursor]
+            if item.num_parts != 1 or item.nnz > radix:
+                break
+            rows.append(item.row)
+            coords.append(item.coords)
+            scales.append(item.values)
+            cursor += 1
+        consumed = cursor - start
+        if consumed:
+            self._item_cursor = cursor
+            self.items_consumed += consumed
+            self.tasks_created += consumed
+            ids.extend(itertools.islice(_task_ids, consumed))
+            for _ in range(consumed):
+                next(self._order_counter)
         return rows, ids, coords, scales

@@ -9,53 +9,45 @@ changed is the execution engine: instead of one Python
 ``_execute_task`` call, heap transaction, and dict update per task, the
 run advances in *epochs*.
 
-An epoch is a maximal run of dispatches whose order the reference event
-loop would fix independently of task timing. Two stretch shapes
-qualify. With no task tree in flight, the scheduler only expands
-*simple* work items (untiled rows fitting the merger radix, each a
-single final leaf task) and :meth:`EpochScheduler.drain_stretch`
-extracts the whole cursor-consuming run. With trees in flight, the
-ready run of level-0 leaves — final and non-final alike — executes as a
-*fenced* epoch: the fence is the earliest instant a completion drain
-could make a waiting parent ready (:meth:`EpochScheduler.fence_plan`),
-dispatching stops when the PE-availability horizon reaches it, and each
-non-final dispatch arms its parent and lowers the fence in place so the
-stop condition stays exact. Either way the core works on
-struct-of-arrays state:
+The scheduler dispatches one kind of work (paper Sec. 3.3): tree
+leaves, interior merges and root emits alike, in priority order onto
+the earliest-free PE. So does the batched core. At each dispatch point
+the whole ready heap drains into one batch
+(:meth:`EpochScheduler.drain_ready`), :meth:`EpochScheduler.fence_plan`
+computes the *fence* — the earliest instant a completion drain could
+make a waiting task ready and preempt the rest of the batch — and one
+executor, ``_execute_epoch``, dispatches the batch while the PE
+horizon stays below the fence, returning the suffix to the heap. Each
+non-final dispatch arms its waiting parents and lowers the fence in
+place, so the stop condition stays exact. The unfenced stretch is the
+``fence = inf``, no-waiters case. The core works on struct-of-arrays
+state:
 
-* input gathering, B line ranges, and the PE timing law are evaluated
-  as numpy arrays over the whole batch (``epoch_cycles``);
-* every task's cache touches go through one
-  ``FiberCache.fetch_read_epoch`` call (fenced epochs keep per-task
-  ``fetch_read_range`` calls, so stopping at the fence leaves no
-  phantom cache state);
-* output fibers for the whole batch come from one composite-key merge
-  kernel (stable argsort + group reduction), bit-matched to
+* every task has two input blocks — partial fibers (from the
+  arming-time ``_InteriorGather`` record, empty for leaves) and direct
+  B rows — laid out as arrays across the whole batch, so input
+  gathering, B line ranges, and the PE timing law evaluate over the
+  batch at once (``epoch_cycles``);
+* output fibers come from one composite-key merge kernel (stable
+  argsort + group reduction) over both blocks, bit-matched to
   ``linear_combine``'s dict and array paths;
 * memory charges whose completion times feed nothing (C writes,
   partial writebacks) are deferred and flushed in issue order via
   ``MemoryInterface.request_epoch``.
 
-Interior merge tasks and root emits — the task-tree tail that used to
-run scalar — execute as *cohort* epochs: when the ready head is an
-interior task, the whole ready run of interior tasks drains
-(:meth:`EpochScheduler.drain_ready_interiors`), the same fence plan
-bounds how far dispatch order is timing-independent, and each task's
-partial inputs are gathered into struct-of-arrays form at arming time
-(coordinate/value arrays, line ranges, dependency readiness) so the
-dispatch loop touches the FiberCache through batched
-``consume_ranges`` / ``fetch_read_ranges`` calls and the composite-key
-merge kernel combines partial-fiber and direct-B inputs for the whole
-cohort at once. Root emits defer their C-write charges through
-``request_epoch`` exactly like leaf epochs defer theirs. Only the
-degenerate fence-at-entry case (unreachable by the fence invariant)
-falls back to one scalar dispatch. Non-final tasks dispatched in any
-fenced epoch keep the reference's side effects exactly: the
-partial-output budget rises per dispatch (with the reference's
-between-dispatch refill expansions replayed at the same budget
-values), partial lines are allocated and written in dispatch order,
-and completions enter the drain heap carrying the real task so parents
-unblock identically.
+One selection remains, decided by the batch itself. A batch that cannot
+stop early (``fence = inf``, no waiters) and holds only final leaves
+extends with simple items straight off the program cursor and touches
+the cache for the whole batch in one ``FiberCache.fetch_read_epoch``
+call. Every other batch touches the cache per task inside the loop
+(``consume_range`` / ``fetch_read_range`` in the scalar input order),
+so stopping at the fence leaves no phantom cache state, and replays the
+reference's between-dispatch refills whenever the partial-output budget
+moves. Non-final tasks keep the reference's side effects exactly:
+partial lines are allocated and written in dispatch order, and
+completions enter the drain heap carrying the real task so parents
+unblock identically. A batch that dispatches nothing (unreachable by
+the fence invariant) falls back to one scalar dispatch.
 Runs that collect a MetricsRegistry take the scalar path wholesale so
 every per-dispatch metric sample stays bit-identical; traces are
 supported in epoch mode (events are emitted from the batch timing
@@ -78,8 +70,7 @@ from repro.core.accumulator import accumulate_groups
 from repro.core.pe import epoch_cycles, epoch_merge_groups
 from repro.core.result import SimulationResult
 from repro.core.scheduler import EpochScheduler, WorkProgram
-from repro.core.simulator_ref import (_PARTIAL_BASE_LINE,  # noqa: F401
-                                      ReferenceGammaSimulator,
+from repro.core.simulator_ref import (ReferenceGammaSimulator,
                                       _ReferenceRunState)
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.fiber import Fiber, _make_fiber
@@ -116,17 +107,19 @@ class _FastDetailedPE:
 class _InteriorGather:
     """Arming-time SoA gather of one interior task's inputs.
 
-    Built when a cohort first drains the task (all inputs are finished
-    by then, so every array below is final): partial-fiber coordinate /
-    value views and line ranges in input order, the dependency-readiness
-    time, and the direct-B inputs' CSR layout. The cohort dispatch loop
-    and combine kernel work entirely off these arrays — no fiber-object
-    or ``TaskInput`` walks after arming.
+    Built when a batch first drains the task (all inputs are finished by
+    then, so every array below is final): the partial block — partial
+    fiber coordinate/value views, scales, lengths and line ranges in
+    input order, plus the dependency-readiness time — and the direct B
+    rows and scales that join the batch's B block. Reused across
+    push-back re-drains and discharged at dispatch, so the epoch loop
+    and the merge kernel never walk fiber objects or ``TaskInput``
+    lists.
     """
 
     __slots__ = ("deps", "p_ranges", "p_coord_parts", "p_value_parts",
                  "p_scales", "p_lens", "p_total", "deps_ready",
-                 "b_starts", "b_nnzs", "b_scales", "b_ranges", "b_total")
+                 "b_rows", "b_scales")
 
     def __init__(self) -> None:
         self.deps: List[int] = []
@@ -137,11 +130,142 @@ class _InteriorGather:
         self.p_lens: List[int] = []
         self.p_total = 0
         self.deps_ready = 0.0
-        self.b_starts: List[int] = []
-        self.b_nnzs: List[int] = []
-        self.b_scales: List[float] = []
-        self.b_ranges: List = []
-        self.b_total = 0
+        self.b_rows = None
+        self.b_scales = None
+
+
+class _EpochInputs:
+    """The two input blocks of one epoch batch and their merge kernel.
+
+    Every task merges a partial block — the partial fibers its
+    :class:`_InteriorGather` record references, empty for leaves —
+    followed by a B block, its direct B rows. Both blocks are laid out
+    as flat arrays across the whole batch: all partial elements first
+    (task order, input order), then all B elements likewise. Because
+    ``build_task_tree`` puts partial inputs ahead of direct B rows in
+    every interior task, one stable sort on the composite key
+    ``task * num_cols + coord`` orders each task's elements by
+    coordinate with ties in exact input order — the fold order of
+    ``linear_combine``.
+
+    Construction is the value-free structure pass: B line ranges,
+    per-task input element totals (the PE timing law's argument), and
+    output lengths, which size C writes and partial allocations before
+    anything dispatches. :meth:`merge` computes the values of a
+    dispatched prefix off the same sort: tasks are the sort's major
+    key, so a prefix's elements are a prefix of the sorted stream.
+    """
+
+    def __init__(self, b, coord_parts, records) -> None:
+        num_tasks = len(coord_parts)
+        self.num_tasks = num_tasks
+        self.records = records
+        counts = np.fromiter(map(len, coord_parts), dtype=np.int64,
+                             count=num_tasks)
+        all_rows = (np.concatenate(coord_parts) if num_tasks > 1
+                    else np.asarray(coord_parts[0], dtype=np.int64))
+        offsets = b.offsets
+        row_start = offsets[all_rows]
+        nnzs = offsets[all_rows + 1] - row_start
+        ends = np.cumsum(nnzs)
+        input_task = np.repeat(np.arange(num_tasks, dtype=np.int64), counts)
+        # Per-task B element totals; bincount (not reduceat) because a
+        # pure partial merge has no B inputs at all.
+        totals = np.bincount(input_task, weights=nnzs,
+                             minlength=num_tasks).astype(np.int64)
+        b_total = int(ends[-1]) if len(ends) else 0
+        gather = np.arange(b_total, dtype=np.int64)
+        gather += np.repeat(row_start - (ends - nnzs), nnzs)
+        el_task = np.repeat(input_task, nnzs)
+        el_coords = b.coords[gather]
+        self.p_inputs = None
+        if records is not None:
+            p_counts = np.fromiter(
+                (0 if r is None else r.p_total for r in records),
+                dtype=np.int64, count=num_tasks)
+            p_parts = [part for r in records if r is not None
+                       for part in r.p_coord_parts]
+            if p_parts:
+                el_task = np.concatenate(
+                    (np.repeat(np.arange(num_tasks, dtype=np.int64),
+                               p_counts), el_task))
+                el_coords = np.concatenate(
+                    (np.concatenate(p_parts), el_coords))
+                self.p_inputs = np.fromiter(
+                    (0 if r is None else len(r.p_lens) for r in records),
+                    dtype=np.int64, count=num_tasks)
+            totals += p_counts
+        self.counts = counts
+        self.input_first = np.cumsum(counts) - counts
+        self.input_task = input_task
+        self.nnzs = nnzs
+        self.gather = gather
+        self.totals = totals
+        self.el_coords = el_coords
+        self.lows = (row_start * ELEMENT_BYTES) // LINE_BYTES
+        self.highs = -(-((row_start + nnzs) * ELEMENT_BYTES) // LINE_BYTES)
+        self.order, self.flags, self.out_lens = epoch_merge_groups(
+            el_task, el_coords, b.num_cols, num_tasks)
+
+    def merge(self, b, scale_parts, dispatched: int, semiring):
+        """Output fibers' ``(coords, values, bounds)`` for the first
+        ``dispatched`` tasks, or None when they merge no elements.
+
+        Bit-matched to ``linear_combine``: per-group reduction over the
+        sorted stream reproduces the scalar fold — zero-started
+        ``np.bincount`` for arithmetic, first-element
+        ``add_ufunc.reduceat`` for semirings — and tasks with a single
+        nonempty input take its scaled elements directly, as the
+        ``fiber.scale`` shortcut does, so IEEE signed zeros survive.
+        ``scale_parts`` are the per-task B scale arrays; partial inputs
+        pass through at their gathered scale (the semiring's
+        multiplicative identity).
+        """
+        num_elements = int(self.totals[:dispatched].sum())
+        if not num_elements:
+            return None
+        order = self.order[:num_elements]
+        flags = self.flags[:num_elements]
+        scales = (np.concatenate(scale_parts) if len(scale_parts) > 1
+                  else np.asarray(scale_parts[0], dtype=np.float64))
+        el_values = b.values[self.gather]
+        el_scales = np.repeat(scales, self.nnzs)
+        p_inputs = self.p_inputs
+        if p_inputs is not None:
+            records = [r for r in self.records if r is not None]
+            p_lens = np.fromiter(
+                (n for r in records for n in r.p_lens), dtype=np.int64)
+            p_values = [part for r in records for part in r.p_value_parts]
+            el_values = np.concatenate((np.concatenate(p_values), el_values))
+            el_scales = np.concatenate((np.repeat(
+                np.fromiter((s for r in records for s in r.p_scales),
+                            dtype=np.float64, count=len(p_lens)),
+                p_lens), el_scales))
+        arithmetic = semiring is None or semiring.is_arithmetic
+        if arithmetic:
+            products = el_values * el_scales
+        else:
+            products = np.asarray(
+                semiring.mul_array(el_scales, el_values), dtype=np.float64)
+        sorted_values = products[order]
+        out_values = accumulate_groups(sorted_values, flags, semiring)
+        out_coords = self.el_coords[order][flags]
+        out_lens = self.out_lens[:dispatched]
+        if arithmetic:
+            nonempty = np.bincount(self.input_task[self.nnzs > 0],
+                                   minlength=self.num_tasks)
+            if p_inputs is not None:
+                p_task = np.repeat(
+                    np.arange(self.num_tasks, dtype=np.int64), p_inputs)
+                nonempty += np.bincount(p_task[p_lens > 0],
+                                        minlength=self.num_tasks)
+            single = nonempty[:dispatched] == 1
+            if single.any():
+                # A single nonempty input's elements are its own sorted
+                # groups of one: copy the products over the fold.
+                out_values[np.repeat(single, out_lens)] = sorted_values[
+                    np.repeat(single, self.totals[:dispatched])]
+        return out_coords, out_values, np.cumsum(out_lens)
 
 
 class GammaSimulator:
@@ -218,8 +342,8 @@ class _BatchedRunState(_ReferenceRunState):
 
     Inherits all scalar machinery — ``_execute_task``, PE picking,
     metrics publishing, result assembly — from the reference run state
-    and overrides the main loop to carve timing-independent stretches
-    into batched epochs.
+    and overrides the main loop to dispatch fence-bounded batches as
+    epochs.
     """
 
     def __init__(self, config, a, b, program, multi_pe, semiring=None,
@@ -227,7 +351,7 @@ class _BatchedRunState(_ReferenceRunState):
         super().__init__(config, a, b, program, multi_pe, semiring,
                          trace, metrics)
         # Same construction arguments as the base Scheduler: the epoch
-        # variant is bit-neutral and only adds stretch extraction.
+        # variant is bit-neutral and only adds batch extraction.
         self.scheduler = EpochScheduler(
             program,
             radix=config.radix,
@@ -244,26 +368,31 @@ class _BatchedRunState(_ReferenceRunState):
         #: Output-row lengths (c_nnz and C-write sizing) — maintained even
         #: when output values are skipped.
         self.output_len: Dict[int, int] = {}
-        #: Arming-time gather records for ready interior tasks, keyed by
-        #: task id: partial-input SoA views, line ranges, dependency
-        #: readiness, and direct-B layout. Built once when a cohort
-        #: drains the task, reused across push-back re-drains, and
-        #: popped at dispatch — interior gathering never walks fiber
-        #: objects in the dispatch loop.
-        self._cohort_gather: Dict[int, _InteriorGather] = {}
+        #: Arming-time gather records for drained interior tasks, keyed
+        #: by task id: partial-input SoA views, line ranges, dependency
+        #: readiness, and direct B rows. Built once when a batch drains
+        #: the task, reused across push-back re-drains, and popped at
+        #: dispatch.
+        self._gather: Dict[int, _InteriorGather] = {}
+        self._target_pending = 2 * config.num_pes
+        #: Completion heap of ``(finish, sequence, task)`` entries (task
+        #: None for epoch-dispatched finals, whose completions unblock
+        #: nothing) and the next sequence number.
+        self._completions: List = []
+        self._sequence = 0
 
     # -- main loop --------------------------------------------------------
     def execute(self) -> None:
         """Epoch-batched list scheduling.
 
-        Identical decision sequence to the reference event loop; whenever
-        the loop reaches a dispatch point whose upcoming dispatch order
-        is provably timing-independent (nothing waiting, final leaf at
-        the head), the whole stretch executes as one epoch.
+        Identical decision sequence to the reference event loop: refill,
+        drain completions up to the PE horizon, dispatch. At each
+        dispatch point the whole ready heap drains into one batch,
+        ``fence_plan`` bounds how far the reference would dispatch it
+        back to back, and :meth:`_execute_epoch` runs it up to there.
         """
-        target_pending = 2 * self.config.num_pes
-        completions: List = []
-        sequence = 0
+        target_pending = self._target_pending
+        completions = self._completions
         scheduler = self.scheduler
         items = self.program.items
         use_epochs = self.use_epochs
@@ -276,84 +405,18 @@ class _BatchedRunState(_ReferenceRunState):
                     scheduler.task_completed(done)
                 scheduler.refill(target_pending,
                                  allow_force=not completions)
-            if use_epochs:
-                head = scheduler.peek_ready()
-                if head is not None and head.level == 0:
-                    if not scheduler.has_blocked_tasks():
-                        # No task tree in flight: the head is usually a
-                        # simple final leaf and the whole
-                        # cursor-consuming stretch is
-                        # timing-independent end to end. The head can
-                        # still be a *non-final* level-0 leaf — a tiled
-                        # row's part expanded before its siblings, so
-                        # its combine parent does not exist yet — in
-                        # which case the stretch is empty and the task
-                        # takes the scalar path (what the reference
-                        # event loop does with it).
-                        batch = scheduler.drain_stretch(target_pending)
-                        if batch[0]:
-                            sequence = self._execute_epoch(
-                                batch, completions, sequence)
-                        else:
-                            sequence = self._dispatch_scalar(
-                                scheduler.next_task(), completions, sequence)
-                        continue
-                    entries = scheduler.drain_ready_leaves()
-                    ids = [entry[1].task_id for entry in entries]
-                    fence, waiters = scheduler.fence_plan(
-                        self.finish_time, ids)
-                    if fence == _INF and not waiters:
-                        # Every drained leaf is final (a non-final leaf
-                        # would put its armable parent in ``waiters``)
-                        # and nothing armed can become ready mid-stretch
-                        # (any unemitted combine still depends on an
-                        # undispatched root), so the cursor fast path
-                        # applies.
-                        scheduler.push_back(entries)
-                        batch = scheduler.drain_stretch(target_pending)
-                        if batch[0]:
-                            sequence = self._execute_epoch(
-                                batch, completions, sequence)
-                        else:
-                            # Non-final level-0 head whose combine
-                            # parent is not registered yet (tiled row,
-                            # parts still on the cursor): scalar
-                            # dispatch, as the reference does.
-                            sequence = self._dispatch_scalar(
-                                scheduler.next_task(), completions, sequence)
-                    else:
-                        new_sequence = self._execute_epoch_fenced(
-                            entries, ids, fence, waiters, completions,
-                            sequence, target_pending)
-                        if new_sequence == sequence:
-                            # Unreachable per the fence invariant (the
-                            # fence clears the PE horizon at epoch
-                            # entry); degrade to one scalar dispatch
-                            # rather than spin.
-                            sequence = self._dispatch_scalar(
-                                scheduler.next_task(), completions, sequence)
-                        else:
-                            sequence = new_sequence
+            if use_epochs and scheduler.peek_ready() is not None:
+                entries = scheduler.drain_ready()
+                ids = [entry[1].task_id for entry in entries]
+                fence, waiters = scheduler.fence_plan(self.finish_time, ids)
+                if self._execute_epoch(entries, ids, fence, waiters):
                     continue
-                if head is not None:
-                    # Interior cohort: the ready run of level >= 1 tasks
-                    # whose inputs are all finished executes as one
-                    # epoch under the same fence discipline.
-                    new_sequence = self._execute_epoch_cohort(
-                        completions, sequence, target_pending)
-                    if new_sequence == sequence:
-                        # Unreachable per the fence invariant (the
-                        # fence clears the PE horizon at epoch entry);
-                        # degrade to one scalar dispatch rather than
-                        # spin.
-                        sequence = self._dispatch_scalar(
-                            scheduler.next_task(), completions, sequence)
-                    else:
-                        sequence = new_sequence
-                    continue
+                # Nothing dispatched: unreachable per the fence invariant
+                # (the fence clears the PE horizon at epoch entry), so
+                # degrade to one scalar dispatch rather than spin.
             task = scheduler.next_task()
             if task is not None:
-                sequence = self._dispatch_scalar(task, completions, sequence)
+                self._dispatch_scalar(task)
                 continue
             if completions:
                 if (not scheduler.has_blocked_tasks()
@@ -384,244 +447,113 @@ class _BatchedRunState(_ReferenceRunState):
         if self.metrics is not None:
             self._publish_run_metrics(bandwidth_floor)
 
-    # -- scalar-path hook -------------------------------------------------
-    def _dispatch_scalar(self, task, completions: List,
-                         sequence: int) -> int:
-        """Scalar fallback: execute one task and queue its completion.
-
-        Returns the next completion sequence number.
-        """
+    # -- scalar path --------------------------------------------------------
+    def _dispatch_scalar(self, task) -> None:
+        """Scalar fallback: execute one task and queue its completion."""
         finish = self._execute_task(task)
-        heapq.heappush(completions, (finish, sequence, task))
-        return sequence + 1
+        heapq.heappush(self._completions, (finish, self._sequence, task))
+        self._sequence += 1
 
     def _execute_task(self, task):
-        # A task drained into a cohort but dispatched scalar (degenerate
-        # fence fallback) must not leave a stale gather record behind.
-        self._cohort_gather.pop(task.task_id, None)
+        # A drained interior task dispatched scalar (zero-dispatch
+        # fallback) must not leave a stale gather record behind.
+        self._gather.pop(task.task_id, None)
         finish = super()._execute_task(task)
         if task.is_final:
             self.output_len[task.row] = len(self.output_rows[task.row])
         return finish
 
     # -- epoch execution --------------------------------------------------
-    def _execute_epoch(self, batch, completions, sequence: int) -> int:
-        """Execute one epoch of final-leaf tasks on array state.
+    def _execute_epoch(self, entries, ids, fence: float, waiters) -> int:
+        """Execute a drained batch up to its fence; return how many dispatched.
 
-        ``batch`` is the struct-of-arrays stretch from
-        :meth:`EpochScheduler.drain_stretch`: parallel ``(rows,
-        task_ids, coords, scales)`` sequences, one entry per dispatch.
+        The reference loop dispatches the batch's tasks back to back in
+        heap order while its PE-availability horizon stays below the
+        *fence* — the earliest time a completion drain can make a
+        waiting task ready (``EpochScheduler.fence_plan``), at which
+        point that task preempts the rest. This loop does exactly that
+        and returns the undispatched suffix to the ready heap verbatim.
+        Input gathering, PE cycles and output lengths come from one
+        :class:`_EpochInputs` structure pass before the loop and output
+        values from its merge kernel after it; DRAM charges whose
+        completion times feed nothing (C writes, partial writebacks)
+        defer through ``MemoryInterface.request_epoch``.
+
+        One selection, decided by the batch itself: a batch that cannot
+        stop early (``fence`` infinite, no ``waiters``) and holds only
+        final leaves arms nothing and moves no partial budget, so it
+        extends with simple items straight off the program cursor and
+        touches the cache for the whole batch before the loop (one
+        ``fetch_read_epoch`` and one ``sample_utilization_epoch``
+        call). A batch that cannot stop early but holds other tasks
+        too leaves its trailing run of final leaves to the next batch,
+        which takes that path. Any other batch touches the cache per task inside the
+        loop in the scalar input order (partial consumes, then B
+        fetches), so stopping at the fence leaves no phantom cache
+        state. A non-final dispatch allocates and writes its partial
+        lines, raises the partial budget, records its finish, and folds
+        it into the ``waiters`` records of tasks it helps arm — lowering
+        the fence in place, so the stop condition stays exact while the
+        batch changes which tasks are armed. Whenever the budget moves,
+        the reference's between-dispatch refills replay after every
+        dispatch.
         """
-        rows, task_ids, coord_parts, scale_parts = batch
-        offsets = self.b.offsets
-        num_tasks = len(rows)
-        counts = np.fromiter((len(part) for part in coord_parts),
-                             dtype=np.int64, count=num_tasks)
-        all_rows = (np.concatenate(coord_parts) if num_tasks > 1
-                    else np.asarray(coord_parts[0], dtype=np.int64))
-        row_start = offsets[all_rows]
-        nnzs = offsets[all_rows + 1] - row_start
-
-        # One fused fetch+read per B input, whole epoch in one call.
-        start_bytes = row_start * ELEMENT_BYTES
-        end_bytes = (row_start + nnzs) * ELEMENT_BYTES
-        lows = start_bytes // LINE_BYTES
-        highs = -(-end_bytes // LINE_BYTES)
-        misses, dirties, occ_b, occ_p = self.cache.fetch_read_epoch(
-            lows, highs, counts, "B")
-
-        # PE timing law over the batch.
-        input_first = np.empty(num_tasks, dtype=np.int64)
-        input_first[0] = 0
-        np.cumsum(counts[:-1], out=input_first[1:])
-        input_task = np.repeat(np.arange(num_tasks, dtype=np.int64), counts)
-        totals = np.add.reduceat(nnzs, input_first)
-        cycles = epoch_cycles(totals)
-        total_elements = int(totals.sum())
-        self.flops += total_elements
-        self.num_tasks += num_tasks
-        self.dispatch_epoch += num_tasks
-
-        out_lens = self._combine_epoch(
-            rows, scale_parts, row_start, nnzs, input_task, input_first,
-            counts, total_elements, num_tasks)
-
-        # Bulk time advancement: earliest-free assignment per task, B
-        # requests issued at dispatch, result-less charges deferred.
-        multi = self.multi_pe
-        pe_free = self.pe_free
-        free_times = self.pe_free_times
-        busy_cycles = self.pe_busy_cycles
-        row_pe = self.row_pe
-        memory = self.memory
-        trace = self.trace
-        output_len = self.output_len
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        cycle_list = cycles.tolist()
-        len_list = out_lens.tolist()
-        pending: List = []
-        finishes: List[float] = []
-        pe_busy = 0.0
-        threshold = 0.0
-        if trace is not None:
-            from repro.core.trace import TaskEvent
-        for i in range(num_tasks):
-            row = rows[i]
-            if multi:
-                start, pe = heappop(pe_free)
-                threshold = start
-            else:
-                while pe_free[0][0] != free_times[pe_free[0][1]]:
-                    heappop(pe_free)
-                threshold = pe_free[0][0]
-                pe = row_pe.get(row)
-                if pe is None:
-                    pe = pe_free[0][1]
-                    row_pe[row] = pe
-                start = free_times[pe]
-            miss = misses[i]
-            cyc = cycle_list[i]
-            if miss:
-                if pending:
-                    memory.request_epoch(pending)
-                    pending = []
-                data_ready = memory.request(
-                    "B", miss * LINE_BYTES, start)
-                finish = start + cyc
-                if data_ready > finish:
-                    finish = data_ready
-            else:
-                finish = start + cyc
-            free_times[pe] = finish
-            heappush(pe_free, (finish, pe))
-            busy_cycles[pe] += cyc
-            pe_busy += cyc
-            out_len = len_list[i]
-            output_len[row] = out_len
-            pending.append(
-                ("C", out_len * ELEMENT_BYTES + OFFSET_BYTES, finish))
-            dirty = dirties[i]
-            if dirty:
-                pending.append(
-                    ("partial_write", dirty * LINE_BYTES, finish))
-            finishes.append(finish)
-            if trace is not None:
-                trace.record(TaskEvent(
-                    task_id=task_ids[i],
-                    row=row,
-                    level=0,
-                    is_final=True,
-                    pe=pe,
-                    start=start,
-                    finish=finish,
-                    busy_cycles=cyc,
-                    b_miss_lines=miss,
-                    partial_miss_lines=0,
-                ))
-        if pending:
-            memory.request_epoch(pending)
-        self.pe_busy += pe_busy
-        self.cache.sample_utilization_epoch(occ_b, occ_p, cycle_list)
-        # Catch up the completion drains the reference loop performed
-        # during the stretch: everything finishing by the PE-availability
-        # horizon it saw before the last dispatch is already completed.
-        # Epoch tasks are final leaves — completing one is pure
-        # bookkeeping (final ids are never consulted by a dependency
-        # scan) — so drained epoch completions vanish outright and only
-        # the still-in-flight tail enters the completions heap.
         scheduler = self.scheduler
-        while completions and completions[0][0] <= threshold:
-            _, _, done = heappop(completions)
-            if done is not None:
-                scheduler.task_completed(done)
-        for i in range(num_tasks):
-            finish = finishes[i]
-            if finish > threshold:
-                heappush(completions, (finish, sequence + i, None))
-        return sequence + num_tasks
-
-    def _execute_epoch_fenced(self, entries, ids, fence: float, waiters,
-                              completions, sequence: int,
-                              target_pending: int) -> int:
-        """Execute a leaf stretch bounded by a ready-fence.
-
-        With task trees in flight, the reference loop keeps dispatching
-        level-0 leaves back-to-back until its PE-availability horizon
-        reaches the *fence* — the earliest time a completion drain can
-        make a waiting parent ready (``EpochScheduler.fence_plan``), at
-        which point the parent preempts every later-ordered leaf. This
-        path batches exactly that run: cache touches stay per-task (so
-        stopping at the fence leaves no phantom state) while input
-        gathering, output lengths, and the merge kernel run vectorized;
-        the undispatched suffix returns to the ready heap verbatim.
-
-        Both final leaves and non-final tree leaves dispatch here.
-        A non-final leaf allocates and writes its partial-fiber lines in
-        dispatch order (bit-identical cache evolution), records its
-        finish for dependants, and folds that finish into the
-        ``waiters`` records of parents it helps arm — lowering the
-        fence on the spot, so the stop condition stays exact while the
-        stretch itself changes which parents are armed. Its completion
-        enters the heap carrying the real task so the drain unblocks
-        the parent exactly like the reference loop's.
-
-        ``entries`` are the raw heap entries from
-        ``drain_ready_leaves``; ``ids`` their task ids in order.
-        """
-        num_batch = len(entries)
-        offsets = self.b.offsets
         tasks = [entry[1] for entry in entries]
+        unstoppable = fence == _INF and not waiters
+        if unstoppable:
+            # Cutting a batch that cannot stop early changes nothing but
+            # how it touches the cache: leave its trailing run of final
+            # leaves to the next batch, which pre-touches it.
+            cut = len(tasks)
+            while cut and tasks[cut - 1].is_final and not tasks[cut - 1].level:
+                cut -= 1
+            if cut and cut < len(tasks):
+                scheduler.push_back(entries[cut:])
+                entries = entries[:cut]
+                tasks = tasks[:cut]
+                ids = ids[:cut]
         rows = [task.row for task in tasks]
         finals = [task.is_final for task in tasks]
-        coord_parts = []
-        scale_parts = []
+        static = all(finals) and not any(task.level for task in tasks)
+        pretouch = unstoppable and static
+        coord_parts: List = []
+        scale_parts: List = []
+        records = None if static else []
         for task in tasks:
-            coords = getattr(task, "b_coords", None)
-            if coords is None:
-                # Tree leaf: materialize the TaskInput list once as
-                # arrays (all inputs are B rows at level 0).
-                inputs = task.inputs
-                n = len(inputs)
-                coords = np.fromiter((inp.index for inp in inputs),
-                                     dtype=np.int64, count=n)
-                scales = np.fromiter((inp.scale for inp in inputs),
-                                     dtype=np.float64, count=n)
-            else:
-                scales = task.b_scales
-            coord_parts.append(coords)
-            scale_parts.append(scales)
-        counts = np.fromiter((len(part) for part in coord_parts),
-                             dtype=np.int64, count=num_batch)
-        all_rows = (np.concatenate(coord_parts) if num_batch > 1
-                    else np.asarray(coord_parts[0], dtype=np.int64))
-        row_start = offsets[all_rows]
-        nnzs = offsets[all_rows + 1] - row_start
-        start_bytes = row_start * ELEMENT_BYTES
-        end_bytes = (row_start + nnzs) * ELEMENT_BYTES
-        lows = (start_bytes // LINE_BYTES).tolist()
-        highs = (-(-end_bytes // LINE_BYTES)).tolist()
-
-        input_first = np.empty(num_batch, dtype=np.int64)
-        input_first[0] = 0
-        np.cumsum(counts[:-1], out=input_first[1:])
-        input_task = np.repeat(np.arange(num_batch, dtype=np.int64), counts)
-        totals = np.add.reduceat(nnzs, input_first)
-        cycle_list = epoch_cycles(totals).tolist()
-        total_elements = int(totals.sum())
-
-        # Output lengths for the whole chunk up front (value-independent,
-        # needed in-loop to size each C write before the next flush).
-        if total_elements:
-            block_start = np.cumsum(nnzs) - nnzs
-            gather = np.arange(total_elements, dtype=np.int64)
-            gather += np.repeat(row_start - block_start, nnzs)
-            el_task = np.repeat(input_task, nnzs)
-            _, _, out_lens = epoch_merge_groups(
-                el_task, self.b.coords[gather], self.b.num_cols, num_batch)
-            len_list = out_lens.tolist()
+            if task.level:
+                record = self._gather_interior(task)
+                records.append(record)
+                coord_parts.append(record.b_rows)
+                scale_parts.append(record.b_scales)
+                continue
+            if records is not None:
+                records.append(None)
+            coord_parts.append(task.b_coords)
+            scale_parts.append(task.b_scales)
+        if pretouch:
+            more_rows, more_ids, more_coords, more_scales = (
+                scheduler.take_simple_items())
+            if more_rows:
+                rows += more_rows
+                ids = ids + more_ids
+                finals += [True] * len(more_rows)
+                coord_parts += more_coords
+                scale_parts += more_scales
+        num_batch = len(rows)
+        inputs = _EpochInputs(self.b, coord_parts, records)
+        cycle_list = epoch_cycles(inputs.totals).tolist()
+        len_list = inputs.out_lens.tolist()
+        cache = self.cache
+        if pretouch:
+            misses, dirties, occ_b, occ_p = cache.fetch_read_epoch(
+                inputs.lows, inputs.highs, inputs.counts, "B")
         else:
-            len_list = [0] * num_batch
+            lows = inputs.lows.tolist()
+            highs = inputs.highs.tolist()
+            first_list = inputs.input_first.tolist()
+            count_list = inputs.counts.tolist()
+        refill = not static
 
         multi = self.multi_pe
         pe_free = self.pe_free
@@ -629,33 +561,27 @@ class _BatchedRunState(_ReferenceRunState):
         busy_cycles = self.pe_busy_cycles
         row_pe = self.row_pe
         memory = self.memory
-        cache = self.cache
         fetch = cache.fetch_read_range
+        consume = cache.consume_range
         write = cache.write_range
         sample = cache.sample_utilization
         allocate = self._allocate_partial_lines
+        partial_fibers = self.partial_fibers
         partial_lines = self.partial_lines
         finish_time = self.finish_time
+        gather_memo = self._gather
         trace = self.trace
         output_len = self.output_len
-        scheduler = self.scheduler
         refill_epoch = scheduler.refill_epoch
+        partial_consumed = scheduler.partial_consumed
+        target_pending = self._target_pending
         heappush = heapq.heappush
         heappop = heapq.heappop
-        first_list = input_first.tolist()
-        count_list = counts.tolist()
         pending: List = []
         finishes: List[float] = []
         pe_busy = 0.0
         threshold = 0.0
         dispatched = num_batch
-        # Chunks that dispatch non-final leaves move the partial-output
-        # budget, which gates the reference loop's between-dispatch
-        # refills; replay those refills in-loop so an expansion the
-        # reference performed (or skipped) right at the budget edge
-        # lands identically. All-final chunks leave the budget static,
-        # so their refills defer to the main loop unchanged.
-        needs_refill = not all(finals)
         if trace is not None:
             from repro.core.trace import TaskEvent
         for i in range(num_batch):
@@ -678,24 +604,47 @@ class _BatchedRunState(_ReferenceRunState):
                     pe = pe_free[0][1]
                     row_pe[row] = pe
                 start = free_times[pe]
-            miss = 0
-            dirty = 0
-            base = first_list[i]
-            for j in range(base, base + count_list[i]):
-                got_miss, got_dirty = fetch(lows[j], highs[j], "B")
-                miss += got_miss
-                dirty += got_dirty
+            p_miss = 0
+            if pretouch:
+                b_miss = misses[i]
+                dirty = dirties[i]
+            else:
+                record = records[i] if records else None
+                if record is not None:
+                    # Partial inputs precede direct B rows in
+                    # ``task.inputs``: consume them first, as the scalar
+                    # input loop does.
+                    if record.deps_ready > start:
+                        start = record.deps_ready
+                    for dep in record.deps:
+                        del partial_fibers[dep]
+                        del partial_lines[dep]
+                    for lo, hi in record.p_ranges:
+                        p_miss += consume(lo, hi)[0]
+                    partial_consumed(len(record.deps))
+                    del gather_memo[ids[i]]
+                b_miss = 0
+                dirty = 0
+                base = first_list[i]
+                for j in range(base, base + count_list[i]):
+                    got_miss, got_dirty = fetch(lows[j], highs[j], "B")
+                    b_miss += got_miss
+                    dirty += got_dirty
             cyc = cycle_list[i]
-            if miss:
+            finish = start + cyc
+            if b_miss or p_miss:
                 if pending:
                     memory.request_epoch(pending)
                     pending = []
-                data_ready = memory.request("B", miss * LINE_BYTES, start)
-                finish = start + cyc
-                if data_ready > finish:
-                    finish = data_ready
-            else:
-                finish = start + cyc
+                if b_miss:
+                    got = memory.request("B", b_miss * LINE_BYTES, start)
+                    if got > finish:
+                        finish = got
+                if p_miss:
+                    got = memory.request(
+                        "partial_read", p_miss * LINE_BYTES, start)
+                    if got > finish:
+                        finish = got
             free_times[pe] = finish
             heappush(pe_free, (finish, pe))
             busy_cycles[pe] += cyc
@@ -717,328 +666,6 @@ class _BatchedRunState(_ReferenceRunState):
                 _, write_dirty = write(lines[0], lines[1], "partial")
                 dirty += write_dirty
                 finish_time[tid] = finish
-                records = waiters.get(tid)
-                if records is not None:
-                    for record in records:
-                        if finish > record[1]:
-                            record[1] = finish
-                        record[0] -= 1
-                        if record[0] == 0 and record[1] < fence:
-                            fence = record[1]
-            if dirty:
-                pending.append(
-                    ("partial_write", dirty * LINE_BYTES, finish))
-            finishes.append(finish)
-            sample(weight=cyc)
-            if trace is not None:
-                trace.record(TaskEvent(
-                    task_id=ids[i],
-                    row=row,
-                    level=0,
-                    is_final=finals[i],
-                    pe=pe,
-                    start=start,
-                    finish=finish,
-                    busy_cycles=cyc,
-                    b_miss_lines=miss,
-                    partial_miss_lines=0,
-                ))
-            if needs_refill:
-                refill_epoch(target_pending, num_batch - i - 1)
-        if pending:
-            memory.request_epoch(pending)
-        if dispatched < num_batch:
-            scheduler.push_back(entries[dispatched:])
-        if dispatched:
-            if dispatched == num_batch:
-                prefix_inputs = len(nnzs)
-                prefix_elements = total_elements
-            else:
-                prefix_inputs = int(first_list[dispatched])
-                prefix_elements = int(totals[:dispatched].sum())
-            self.flops += prefix_elements
-            self.num_tasks += dispatched
-            self.dispatch_epoch += dispatched
-            self.pe_busy += pe_busy
-            dispatched_finals = finals[:dispatched]
-            # Non-final leaves need their partial fibers materialized
-            # even on structure-only runs: parents merge real values.
-            if self.keep_output or not all(dispatched_finals):
-                self._combine_epoch(
-                    rows[:dispatched], scale_parts[:dispatched],
-                    row_start[:prefix_inputs], nnzs[:prefix_inputs],
-                    input_task[:prefix_inputs], input_first[:dispatched],
-                    counts[:dispatched], prefix_elements, dispatched,
-                    finals=dispatched_finals, ids=ids[:dispatched])
-        # Catch up the completion drains the reference loop performed
-        # during the stretch, in its exact (finish, sequence) order:
-        # merge the stretch's own completions into the heap first, then
-        # drain everything up to the horizon it saw before the last
-        # dispatch. Drained finals vanish (their ids are never consulted
-        # by a dependency scan); drained tree leaves unblock their
-        # parents — by the fence invariant none of those parents can
-        # have become ready at or below ``threshold``, so deferring the
-        # drains to the epoch boundary is order-equivalent.
-        for i in range(dispatched):
-            heappush(completions, (finishes[i], sequence + i,
-                                   None if finals[i] else tasks[i]))
-        while completions and completions[0][0] <= threshold:
-            _, _, done = heappop(completions)
-            if done is not None:
-                scheduler.task_completed(done)
-        return sequence + dispatched
-
-    # -- interior cohorts --------------------------------------------------
-    def _gather_interior(self, task) -> _InteriorGather:
-        """Build (or fetch) the arming-time gather record of one interior task.
-
-        Side-effect free: partial fibers are referenced, not popped, and
-        no reference-path memo entries are created — a record built when
-        a cohort first drains the task stays valid across push-back
-        re-drains (dependency finish times and partial fibers are
-        immutable once set) and is discharged only at dispatch.
-        """
-        memo = self._cohort_gather
-        record = memo.get(task.task_id)
-        if record is not None:
-            return record
-        record = _InteriorGather()
-        offsets = self.b.offsets
-        semiring = self.semiring
-        finish_time = self.finish_time
-        partial_fibers = self.partial_fibers
-        partial_lines = self.partial_lines
-        deps_ready = 0.0
-        for inp in task.inputs:
-            if inp.kind == "B":
-                row = inp.index
-                start = int(offsets[row])
-                end = int(offsets[row + 1])
-                record.b_starts.append(start)
-                record.b_nnzs.append(end - start)
-                record.b_scales.append(inp.scale)
-                record.b_ranges.append(
-                    ((start * ELEMENT_BYTES) // LINE_BYTES,
-                     -(-(end * ELEMENT_BYTES) // LINE_BYTES)))
-                record.b_total += end - start
-            else:
-                dep = inp.index
-                finish = finish_time[dep]
-                if finish > deps_ready:
-                    deps_ready = finish
-                fiber = partial_fibers[dep]
-                n = len(fiber.coords)
-                record.deps.append(dep)
-                record.p_ranges.append(partial_lines[dep])
-                record.p_coord_parts.append(fiber.coords)
-                record.p_value_parts.append(fiber.values)
-                # Partial fibers pass through unscaled: the semiring's
-                # multiplicative identity, not necessarily 1.0.
-                record.p_scales.append(
-                    semiring.one if semiring is not None else inp.scale)
-                record.p_lens.append(n)
-                record.p_total += n
-        record.deps_ready = deps_ready
-        memo[task.task_id] = record
-        return record
-
-    @staticmethod
-    def _cohort_coords(b, p_coord_parts, b_starts, b_nnzs):
-        """Coordinate stream of a cohort's two-block element layout.
-
-        All partial-input elements first (task order, input order within
-        each task), then all direct-B elements likewise. Because
-        ``build_task_tree`` puts partial inputs ahead of direct B rows
-        in every interior task, a stable composite-key sort over this
-        layout keeps (task, coordinate) ties in exact task input order.
-        Returns ``(el_coords, gather)`` with ``gather`` the B-element
-        index vector for the matching value gather.
-        """
-        if p_coord_parts:
-            p_coords = (np.concatenate(p_coord_parts)
-                        if len(p_coord_parts) > 1
-                        else np.asarray(p_coord_parts[0]))
-        else:
-            p_coords = np.empty(0, dtype=np.int64)
-        nnz_arr = np.asarray(b_nnzs, dtype=np.int64)
-        b_total = int(nnz_arr.sum())
-        if b_total:
-            starts_arr = np.asarray(b_starts, dtype=np.int64)
-            block_start = np.cumsum(nnz_arr) - nnz_arr
-            gather = np.arange(b_total, dtype=np.int64)
-            gather += np.repeat(starts_arr - block_start, nnz_arr)
-            b_coords = b.coords[gather]
-        else:
-            gather = np.empty(0, dtype=np.int64)
-            b_coords = np.empty(0, dtype=np.int64)
-        if not b_total:
-            return p_coords, gather
-        if not len(p_coords):
-            return b_coords, gather
-        return np.concatenate((p_coords, b_coords)), gather
-
-    def _execute_epoch_cohort(self, completions, sequence: int,
-                              target_pending: int) -> int:
-        """Execute a ready cohort of interior tasks as one fenced epoch.
-
-        The interior analogue of :meth:`_execute_epoch_fenced`: the
-        ready run of level >= 1 tasks — every input already dispatched
-        and finished — dispatches back-to-back in the reference loop's
-        exact heap order until its PE-availability horizon reaches the
-        cohort fence (``fence_plan`` with the drained interior ids in
-        the leaf role), where a not-yet-drained completion could ready
-        a new task that preempts the remainder. Input gathering comes
-        from the arming-time :class:`_InteriorGather` records (no fiber
-        walks in the loop), output lengths from one structure pass of
-        the composite-key kernel, cache touches stay per-task in exact
-        scalar order (partial consumes first, then B fetches, matching
-        task input order), and result-less DRAM charges defer through
-        ``request_epoch``. Dispatching an interior task always moves
-        the partial budget (it consumes partials; non-finals also
-        produce one), so the reference's between-dispatch refill gate
-        replays after every dispatch. The undispatched suffix returns
-        to the ready heap verbatim.
-        """
-        scheduler = self.scheduler
-        entries = scheduler.drain_ready_interiors()
-        num_batch = len(entries)
-        tasks = [entry[1] for entry in entries]
-        ids = [task.task_id for task in tasks]
-        fence, waiters = scheduler.fence_plan(self.finish_time, ids)
-        records = [self._gather_interior(task) for task in tasks]
-
-        # Structure pass over the whole cohort up front (value-free,
-        # needed in-loop to size partial allocations and C writes).
-        b = self.b
-        task_index = np.arange(num_batch, dtype=np.int64)
-        p_counts = np.fromiter((r.p_total for r in records),
-                               dtype=np.int64, count=num_batch)
-        b_counts = np.fromiter((r.b_total for r in records),
-                               dtype=np.int64, count=num_batch)
-        p_coord_parts: List = []
-        b_starts: List[int] = []
-        b_nnzs: List[int] = []
-        for record in records:
-            p_coord_parts.extend(record.p_coord_parts)
-            b_starts.extend(record.b_starts)
-            b_nnzs.extend(record.b_nnzs)
-        el_coords, _ = self._cohort_coords(b, p_coord_parts,
-                                           b_starts, b_nnzs)
-        el_task = np.concatenate((np.repeat(task_index, p_counts),
-                                  np.repeat(task_index, b_counts)))
-        _, _, out_lens = epoch_merge_groups(
-            el_task, el_coords, b.num_cols, num_batch)
-        len_list = out_lens.tolist()
-        totals = p_counts + b_counts
-        cycle_list = epoch_cycles(totals).tolist()
-
-        multi = self.multi_pe
-        pe_free = self.pe_free
-        free_times = self.pe_free_times
-        busy_cycles = self.pe_busy_cycles
-        row_pe = self.row_pe
-        memory = self.memory
-        cache = self.cache
-        consume = cache.consume_ranges
-        fetch = cache.fetch_read_ranges
-        write = cache.write_range
-        sample = cache.sample_utilization
-        allocate = self._allocate_partial_lines
-        partial_fibers = self.partial_fibers
-        partial_lines = self.partial_lines
-        finish_time = self.finish_time
-        trace = self.trace
-        output_len = self.output_len
-        refill_epoch = scheduler.refill_epoch
-        partial_consumed = scheduler.partial_consumed
-        gather_memo = self._cohort_gather
-        heappush = heapq.heappush
-        heappop = heapq.heappop
-        pending: List = []
-        finishes: List[float] = []
-        pe_busy = 0.0
-        threshold = 0.0
-        dispatched = num_batch
-        if trace is not None:
-            from repro.core.trace import TaskEvent
-        for i in range(num_batch):
-            task = tasks[i]
-            row = task.row
-            if multi:
-                thr = pe_free[0][0]
-            else:
-                while pe_free[0][0] != free_times[pe_free[0][1]]:
-                    heappop(pe_free)
-                thr = pe_free[0][0]
-            if thr >= fence:
-                dispatched = i
-                break
-            threshold = thr
-            if multi:
-                start, pe = heappop(pe_free)
-            else:
-                pe = row_pe.get(row)
-                if pe is None:
-                    pe = pe_free[0][1]
-                    row_pe[row] = pe
-                start = free_times[pe]
-            record = records[i]
-            if record.deps_ready > start:
-                start = record.deps_ready
-            # Inputs in task order: partial consumes first (they precede
-            # direct B rows in ``task.inputs``), then B fetches — the
-            # scalar input loop's exact cache touch sequence.
-            for dep in record.deps:
-                del partial_fibers[dep]
-                del partial_lines[dep]
-            p_miss, _ = consume(record.p_ranges)
-            if record.deps:
-                partial_consumed(len(record.deps))
-            if record.b_ranges:
-                b_miss, dirty = fetch(record.b_ranges, "B")
-            else:
-                b_miss = 0
-                dirty = 0
-            cyc = cycle_list[i]
-            if b_miss or p_miss:
-                if pending:
-                    memory.request_epoch(pending)
-                    pending = []
-                data_ready = start
-                if b_miss:
-                    got = memory.request("B", b_miss * LINE_BYTES, start)
-                    if got > data_ready:
-                        data_ready = got
-                if p_miss:
-                    got = memory.request(
-                        "partial_read", p_miss * LINE_BYTES, start)
-                    if got > data_ready:
-                        data_ready = got
-                finish = start + cyc
-                if data_ready > finish:
-                    finish = data_ready
-            else:
-                finish = start + cyc
-            free_times[pe] = finish
-            heappush(pe_free, (finish, pe))
-            busy_cycles[pe] += cyc
-            pe_busy += cyc
-            out_len = len_list[i]
-            tid = ids[i]
-            if task.is_final:
-                output_len[row] = out_len
-                pending.append(
-                    ("C", out_len * ELEMENT_BYTES + OFFSET_BYTES, finish))
-            else:
-                self.num_partials += 1
-                # Mirror ``Scheduler.next_task``: dispatching a
-                # non-final task brings one more partial output fiber
-                # into existence (Sec. 3.4 budget).
-                scheduler.outstanding_partials += 1
-                lines = allocate(out_len)
-                partial_lines[tid] = lines
-                _, write_dirty = write(lines[0], lines[1], "partial")
-                dirty += write_dirty
                 arming = waiters.get(tid)
                 if arming is not None:
                     for rec in arming:
@@ -1047,18 +674,19 @@ class _BatchedRunState(_ReferenceRunState):
                         rec[0] -= 1
                         if rec[0] == 0 and rec[1] < fence:
                             fence = rec[1]
-            finish_time[tid] = finish
             if dirty:
                 pending.append(
                     ("partial_write", dirty * LINE_BYTES, finish))
             finishes.append(finish)
-            sample(weight=cyc)
+            if not pretouch:
+                sample(weight=cyc)
             if trace is not None:
+                task_level = tasks[i].level if i < len(tasks) else 0
                 trace.record(TaskEvent(
-                    task_id=tid,
+                    task_id=ids[i],
                     row=row,
-                    level=task.level,
-                    is_final=task.is_final,
+                    level=task_level,
+                    is_final=finals[i],
                     pe=pe,
                     start=start,
                     finish=finish,
@@ -1066,235 +694,124 @@ class _BatchedRunState(_ReferenceRunState):
                     b_miss_lines=b_miss,
                     partial_miss_lines=p_miss,
                 ))
-            del gather_memo[tid]
-            refill_epoch(target_pending, num_batch - i - 1)
+            if refill:
+                refill_epoch(target_pending, num_batch - i - 1)
         if pending:
             memory.request_epoch(pending)
+        if pretouch:
+            cache.sample_utilization_epoch(occ_b, occ_p, cycle_list)
         if dispatched < num_batch:
             scheduler.push_back(entries[dispatched:])
         if dispatched:
-            self.flops += int(totals[:dispatched].sum())
+            self.flops += int(inputs.totals[:dispatched].sum())
             self.num_tasks += dispatched
             self.dispatch_epoch += dispatched
             self.pe_busy += pe_busy
-            self._combine_cohort(records, tasks, ids, dispatched)
-        # Completion catch-up in exact (finish, sequence) order, as in
-        # the fenced leaf path: drained root emits vanish (final ids
-        # are never consulted by a dependency scan); drained interior
-        # partials unblock their parents — by the fence invariant none
-        # of those parents can have become ready at or below
-        # ``threshold``, so boundary drains are order-equivalent.
+            self._store_outputs(inputs, scale_parts, rows, finals, ids,
+                                dispatched)
+        # Catch up the completion drains the reference loop performed
+        # during the batch, in its exact (finish, sequence) order: merge
+        # the batch's own completions into the heap, then drain
+        # everything up to the horizon it saw before the last dispatch.
+        # Final completions are pure bookkeeping (final ids are never
+        # consulted by a dependency scan), so those at or below the
+        # horizon vanish outright; drained non-final completions unblock
+        # their parents — by the fence invariant none of those parents
+        # can have become ready at or below ``threshold``, so deferring
+        # the drains to the batch boundary is order-equivalent.
+        completions = self._completions
+        sequence = self._sequence
         for i in range(dispatched):
-            heappush(completions, (finishes[i], sequence + i,
-                                   None if tasks[i].is_final else tasks[i]))
+            finish = finishes[i]
+            if not finals[i]:
+                heappush(completions, (finish, sequence + i, tasks[i]))
+            elif finish > threshold:
+                heappush(completions, (finish, sequence + i, None))
         while completions and completions[0][0] <= threshold:
             _, _, done = heappop(completions)
             if done is not None:
                 scheduler.task_completed(done)
-        return sequence + dispatched
+        self._sequence = sequence + dispatched
+        return dispatched
 
-    def _combine_cohort(self, records, tasks, ids, dispatched: int) -> None:
-        """Merge the dispatched cohort prefix in one composite-key kernel.
+    def _gather_interior(self, task) -> _InteriorGather:
+        """Build (or fetch) the arming-time gather record of one interior task.
 
-        The value-side twin of the cohort structure pass: rebuild the
-        prefix's two-block element stream, scale it (partials pass
-        through at the semiring's multiplicative identity), sort once,
-        reduce per group. Bit-matched to ``linear_combine`` exactly as
-        :meth:`_combine_epoch` is, including the single-nonempty-input
-        ``fiber.scale`` replay that preserves IEEE signed zeros.
+        Side-effect free: partial fibers are referenced, not popped, and
+        no reference-path memo entries are created — a record built when
+        a batch first drains the task stays valid across push-back
+        re-drains (dependency finish times and partial fibers are
+        immutable once set) and is discharged only at dispatch.
         """
-        finals = [task.is_final for task in tasks[:dispatched]]
-        if not self.keep_output and all(finals):
-            return
-        b = self.b
+        memo = self._gather
+        record = memo.get(task.task_id)
+        if record is not None:
+            return record
+        record = _InteriorGather()
         semiring = self.semiring
-        prefix = records[:dispatched]
-        rows = [task.row for task in tasks[:dispatched]]
-        p_coord_parts: List = []
-        p_value_parts: List = []
-        p_scales: List[float] = []
-        p_lens: List[int] = []
-        b_starts: List[int] = []
-        b_nnzs: List[int] = []
-        b_scales: List[float] = []
-        for record in prefix:
-            p_coord_parts.extend(record.p_coord_parts)
-            p_value_parts.extend(record.p_value_parts)
-            p_scales.extend(record.p_scales)
-            p_lens.extend(record.p_lens)
-            b_starts.extend(record.b_starts)
-            b_nnzs.extend(record.b_nnzs)
-            b_scales.extend(record.b_scales)
-        p_counts = np.fromiter((r.p_total for r in prefix),
-                               dtype=np.int64, count=dispatched)
-        b_counts = np.fromiter((r.b_total for r in prefix),
-                               dtype=np.int64, count=dispatched)
-        total = int(p_counts.sum()) + int(b_counts.sum())
-        if total == 0:
-            self._store_epoch_outputs(rows, finals, ids[:dispatched],
-                                      lambda i: Fiber.empty())
-            return
-        el_coords, gather = self._cohort_coords(b, p_coord_parts,
-                                                b_starts, b_nnzs)
-        task_index = np.arange(dispatched, dtype=np.int64)
-        el_task = np.concatenate((np.repeat(task_index, p_counts),
-                                  np.repeat(task_index, b_counts)))
-        order, flags, out_lens = epoch_merge_groups(
-            el_task, el_coords, b.num_cols, dispatched)
-        if p_value_parts:
-            p_values = (np.concatenate(p_value_parts)
-                        if len(p_value_parts) > 1
-                        else np.asarray(p_value_parts[0], dtype=np.float64))
-            p_el_scales = np.repeat(
-                np.asarray(p_scales, dtype=np.float64),
-                np.asarray(p_lens, dtype=np.int64))
-        else:
-            p_values = np.empty(0, dtype=np.float64)
-            p_el_scales = np.empty(0, dtype=np.float64)
-        b_el_values = b.values[gather]
-        b_el_scales = np.repeat(np.asarray(b_scales, dtype=np.float64),
-                                np.asarray(b_nnzs, dtype=np.int64))
-        el_values = np.concatenate((p_values, b_el_values))
-        el_scales = np.concatenate((p_el_scales, b_el_scales))
-        arithmetic = semiring is None or semiring.is_arithmetic
-        if arithmetic:
-            sorted_values = (el_values * el_scales)[order]
-        else:
-            products = np.asarray(
-                semiring.mul_array(el_scales, el_values), dtype=np.float64)
-            sorted_values = products[order]
-        out_values = accumulate_groups(sorted_values, flags, semiring)
-        out_coords = el_coords[order][flags]
-        bounds = np.cumsum(out_lens)
-        task_start = bounds - out_lens
-        if arithmetic:
-            # linear_combine's single-nonempty shortcut scales the fiber
-            # directly, with no zero-started fold; replay it so -0.0
-            # products survive bit-for-bit.
-            b_values = b.values
-            for t, record in enumerate(prefix):
-                nonempty = 0
-                for n in record.p_lens:
-                    if n:
-                        nonempty += 1
-                for n in record.b_nnzs:
-                    if n:
-                        nonempty += 1
-                if nonempty != 1:
-                    continue
-                span = None
-                for j, n in enumerate(record.p_lens):
-                    if n:
-                        span = record.p_value_parts[j] * record.p_scales[j]
-                        break
-                if span is None:
-                    for j, n in enumerate(record.b_nnzs):
-                        if n:
-                            lo = record.b_starts[j]
-                            span = b_values[lo:lo + n] * record.b_scales[j]
-                            break
-                out_values[task_start[t]:bounds[t]] = span
-        task_bounds = bounds
-        self._store_epoch_outputs(
-            rows, finals, ids[:dispatched],
-            lambda i: _make_fiber(out_coords[task_start[i]:task_bounds[i]],
-                                  out_values[task_start[i]:task_bounds[i]]))
-
-    def _combine_epoch(self, rows, scale_parts, row_start, nnzs, input_task,
-                       input_first, counts, total: int, num_tasks: int,
-                       finals=None, ids=None):
-        """Merge every task's B rows in one composite-key kernel.
-
-        Bit-matched to ``linear_combine``: the composite key
-        ``task * num_cols + coord`` makes one stable argsort order all
-        tasks' elements by (task, coordinate) with ties in input order,
-        so per-group reduction reproduces the scalar fold exactly —
-        zero-started ``np.bincount`` for arithmetic, first-element
-        ``add_ufunc.reduceat`` for semirings. Single-nonempty-input
-        tasks mirror the ``fiber.scale`` shortcut (a direct product,
-        no zero start) to preserve IEEE signed zeros.
-
-        With ``finals``/``ids`` (the fenced mixed path), each task's
-        fiber routes by kind: final rows to ``output_rows`` (under
-        ``keep_output``), tree-leaf partials to ``partial_fibers``
-        under their task id — always, since parents merge real values.
-        Without them every task is a final row. Returns the per-task
-        output lengths.
-        """
-        b = self.b
-        if finals is None:
-            need_values = self.keep_output
-        else:
-            need_values = self.keep_output or not all(finals)
-        if total == 0:
-            if need_values:
-                self._store_epoch_outputs(
-                    rows, finals, ids,
-                    lambda i: Fiber.empty())
-            return np.zeros(num_tasks, dtype=np.int64)
-        block_start = np.cumsum(nnzs) - nnzs
-        gather = np.arange(total, dtype=np.int64)
-        gather += np.repeat(row_start - block_start, nnzs)
-        el_coords = b.coords[gather]
-        el_task = np.repeat(input_task, nnzs)
-        order, flags, out_lens = epoch_merge_groups(
-            el_task, el_coords, b.num_cols, num_tasks)
-        if not need_values:
-            return out_lens
-        all_scales = (np.concatenate(scale_parts) if num_tasks > 1
-                      else np.asarray(scale_parts[0], dtype=np.float64))
-        el_scales = np.repeat(all_scales, nnzs)
-        el_values = b.values[gather]
-        out_coords = el_coords[order][flags]
-        semiring = self.semiring
-        arithmetic = semiring is None or semiring.is_arithmetic
-        if arithmetic:
-            sorted_values = (el_values * el_scales)[order]
-        else:
-            products = np.asarray(
-                semiring.mul_array(el_scales, el_values), dtype=np.float64)
-            sorted_values = products[order]
-        out_values = accumulate_groups(sorted_values, flags, semiring)
-        bounds = np.cumsum(out_lens)
-        task_start = bounds - out_lens
-        if arithmetic:
-            # linear_combine's single-nonempty shortcut scales the fiber
-            # directly, with no zero-started fold; replay it so -0.0
-            # products survive bit-for-bit.
-            nonempty = np.bincount(input_task[nnzs > 0],
-                                   minlength=num_tasks)
-            b_values = b.values
-            nnz_list = nnzs
-            for t in np.flatnonzero(nonempty == 1).tolist():
-                first = input_first[t]
-                span = np.flatnonzero(
-                    nnz_list[first:first + counts[t]] > 0)
-                j = first + span[0]
-                lo = row_start[j]
-                out_values[task_start[t]:bounds[t]] = (
-                    b_values[lo:lo + nnz_list[j]] * all_scales[j])
-        task_bounds = bounds
-        self._store_epoch_outputs(
-            rows, finals, ids,
-            lambda i: _make_fiber(out_coords[task_start[i]:task_bounds[i]],
-                                  out_values[task_start[i]:task_bounds[i]]))
-        return out_lens
-
-    def _store_epoch_outputs(self, rows, finals, ids, make_fiber) -> None:
-        """Route each epoch task's fiber to its destination store."""
-        output_rows = self.output_rows
-        if finals is None:
-            for i, row in enumerate(rows):
-                output_rows[row] = make_fiber(i)
-            return
+        finish_time = self.finish_time
         partial_fibers = self.partial_fibers
+        partial_lines = self.partial_lines
+        b_rows: List[int] = []
+        b_scales: List[float] = []
+        deps_ready = 0.0
+        for inp in task.inputs:
+            if inp.kind == "B":
+                b_rows.append(inp.index)
+                b_scales.append(inp.scale)
+                continue
+            dep = inp.index
+            finish = finish_time[dep]
+            if finish > deps_ready:
+                deps_ready = finish
+            fiber = partial_fibers[dep]
+            n = len(fiber.coords)
+            record.deps.append(dep)
+            record.p_ranges.append(partial_lines[dep])
+            record.p_coord_parts.append(fiber.coords)
+            record.p_value_parts.append(fiber.values)
+            # Partial fibers pass through unscaled: the semiring's
+            # multiplicative identity, not necessarily 1.0.
+            record.p_scales.append(
+                semiring.one if semiring is not None else inp.scale)
+            record.p_lens.append(n)
+            record.p_total += n
+        record.deps_ready = deps_ready
+        record.b_rows = np.array(b_rows, dtype=np.int64)
+        record.b_scales = np.array(b_scales, dtype=np.float64)
+        memo[task.task_id] = record
+        return record
+
+    def _store_outputs(self, inputs, scale_parts, rows, finals, ids,
+                       dispatched: int) -> None:
+        """Route the dispatched prefix's merged fibers to their stores.
+
+        Final rows go to ``output_rows`` (under ``keep_output``), partial
+        outputs to ``partial_fibers`` under their task id — always, even
+        on structure-only runs, since parents merge real values.
+        """
         keep = self.keep_output
-        for i, row in enumerate(rows):
+        if not keep and all(finals[:dispatched]):
+            return
+        merged = inputs.merge(self.b, scale_parts, dispatched,
+                              self.semiring)
+        output_rows = self.output_rows
+        partial_fibers = self.partial_fibers
+        start = 0
+        for i in range(dispatched):
+            if merged is None:
+                fiber = Fiber.empty()
+            else:
+                out_coords, out_values, bounds = merged
+                end = bounds[i]
+                fiber = _make_fiber(out_coords[start:end],
+                                    out_values[start:end])
+                start = end
             if finals[i]:
                 if keep:
-                    output_rows[row] = make_fiber(i)
+                    output_rows[rows[i]] = fiber
             else:
-                partial_fibers[ids[i]] = make_fiber(i)
+                partial_fibers[ids[i]] = fiber
 
     # -- results ----------------------------------------------------------
     def c_nnz(self) -> int:

@@ -769,7 +769,10 @@ def _run_sweep_body(
             and (workers is None or workers > 1)):
         max_workers = workers or os.cpu_count() or 1
         for batch in (pending_points(prerequisites), pending):
-            batch = [p for p in batch if p not in result.quarantined]
+            # A plan point the prerequisite batch settled is done: running
+            # it again would only reload it and count it twice.
+            batch = [p for p in batch
+                     if p not in result.quarantined and p not in computed]
             _run_batch(batch, max_workers, policy, publish, settle)
         pending_set = set()  # the pools computed (and settled) them all
     # Serial mode (and the no-disk-cache fallback, where processes cannot

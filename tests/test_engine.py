@@ -212,6 +212,26 @@ class TestSweep:
         for record in results.values():
             assert record.cycles > 0
 
+    def test_parallel_sweep_settles_each_point_once(self):
+        """A plan point that is also a prerequisite runs in one batch.
+
+        ``mkl`` needs the matrix's Gamma run first, and the plan holds
+        that same Gamma point: the prerequisite batch computes it and
+        the pending batch must not run it again.
+        """
+        points = plan_sweep(["wiki-Vote"], models=("gamma", "mkl"),
+                            variants=("none",))
+        executed = []
+        result = run_sweep(points, workers=2,
+                           on_executed=lambda p, r, w: executed.append(p))
+        assert SweepPoint("gamma", "wiki-Vote") in points
+        assert result.stats["executed"] == len(points)
+        assert sorted(executed, key=SweepPoint.label) == sorted(
+            points, key=SweepPoint.label)
+        assert set(result.provenance) == set(points)
+        for point in points:
+            assert result.provenance[point]["source"] == "computed", point
+
     def test_parallel_equals_serial(self, tmp_path, monkeypatch):
         """The headline determinism guarantee, payload-for-payload."""
         points = plan_sweep(SMALL_MATRICES)

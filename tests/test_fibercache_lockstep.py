@@ -17,7 +17,10 @@ every single call:
 Run on a tiny multi-way cache so sets overflow constantly and the
 SRRIP-aged eviction path dominates; a second config makes ranges span
 more lines than there are sets, forcing ``fetch_read_range`` off its
-fused single pass onto the two-pass fallback.
+fused single pass onto the two-pass fallback. The epoch primitive
+``fetch_read_epoch`` is replayed against the oracle one range at a time
+on both configs, so its flat pass and its range-at-a-time fallback are
+checked here and not only through the simulator.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -147,6 +150,46 @@ class TestLockstep:
             assert read_misses == 0  # the fetch pass made every read hit
             assert got == (misses, dirty + read_dirty)
         assert_lockstep(fused, two_pass, "fused vs two-pass")
+
+    @given(st.lists(RANGE_OPS, max_size=30),
+           st.lists(st.lists(st.tuples(st.integers(0, 40),
+                                       st.integers(1, 6)),
+                             min_size=1, max_size=4),
+                    min_size=1, max_size=12),
+           st.sampled_from([TINY, WRAP]))
+    @settings(max_examples=80, deadline=None)
+    def test_fetch_read_epoch_replays_per_range(self, warmup, groups,
+                                                config):
+        """One epoch call == ``fetch_read_range`` per range, in order.
+
+        Groups (tasks) hold up to four ranges of up to six lines, so on
+        both configs some epochs fit the flat single pass and others
+        carry a range longer than ``num_sets`` and take the
+        range-at-a-time fallback. Per-group misses, dirty evictions and
+        occupancy snapshots must match the oracle after each group.
+        """
+        batched = FiberCache(config)
+        reference = ReferenceFiberCache(config)
+        for op in warmup:
+            _apply(batched, op)
+            _apply(reference, op)
+        lows = [lo for group in groups for lo, _ in group]
+        highs = [lo + span for group in groups for lo, span in group]
+        counts = [len(group) for group in groups]
+        misses, dirties, occ_b, occ_p = batched.fetch_read_epoch(
+            lows, highs, counts, "B")
+        for g, group in enumerate(groups):
+            group_misses = 0
+            group_dirty = 0
+            for lo, span in group:
+                got_misses, got_dirty = reference.fetch_read_range(
+                    lo, lo + span, "B")
+                group_misses += got_misses
+                group_dirty += got_dirty
+            assert (misses[g], dirties[g]) == (group_misses, group_dirty), g
+            assert (occ_b[g], occ_p[g]) == (reference.occupancy["B"],
+                                            reference.occupancy["partial"]), g
+        assert_lockstep(batched, reference, "fetch_read_epoch")
 
     @given(st.lists(RANGE_OPS, max_size=40), st.lists(RANGE_OPS, max_size=40))
     @settings(max_examples=40, deadline=None)

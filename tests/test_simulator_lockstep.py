@@ -195,13 +195,13 @@ def test_golden_modes_run():
 
 
 # ---------------------------------------------------------------------------
-# Deep task trees: interior-cohort epochs
+# Deep task trees: interior tasks in epochs
 # ---------------------------------------------------------------------------
 
 #: Radix 2 with dense A rows forces task trees of level >= 2, so interior
 #: tasks dominate the dispatch mix; the 1 KB FiberCache (16 lines) spills
-#: partial fibers mid-cohort, exercising the consume-miss / partial_read
-#: path inside interior epochs.
+#: partial fibers mid-epoch, exercising the consume-miss / partial_read
+#: path inside interior dispatches.
 DEEP_CONFIG = GammaConfig(
     num_pes=2, radix=2, fibercache_bytes=1024,
     fibercache_ways=2, fibercache_banks=2,
@@ -213,8 +213,8 @@ def deep_pair(seed):
 
     Every A row gets 5-16 nonzeros, so at radix 2 each row's task tree
     has at least three levels (leaves, combines, root) and the ready
-    heap regularly holds runs of interior tasks — the cohort path under
-    test — rather than the leaf-only stretches the shallow suite covers.
+    heap regularly holds runs of interior tasks — the interior dispatch
+    under test — rather than the leaf-only stretches the shallow suite covers.
     """
     rng = np.random.default_rng(10_000 + seed)
     m = int(rng.integers(3, 10))
@@ -239,8 +239,8 @@ def test_deep_pair_forces_interior_cohorts():
     """The deep generator actually produces level >= 2 interior epochs.
 
     Guards test efficacy: traces must contain interior tasks two levels
-    up, and the batched engine must dispatch them through the cohort
-    path (zero scalar dispatches), otherwise the lockstep assertions
+    up, and the batched engine must dispatch them in epochs (zero
+    scalar dispatches), otherwise the lockstep assertions
     below would be vacuously passing on leaf-only work.
     """
     a, b = deep_pair(0)
@@ -253,13 +253,74 @@ def test_deep_pair_forces_interior_cohorts():
     assert result.dispatch["epoch"] == result.num_tasks
 
 
+def test_quick_corpus_reaches_every_executor_branch(monkeypatch):
+    """The quick seeds drive every branch of the one epoch executor.
+
+    Wraps the executor and its collaborators (no counters in the
+    engine itself) and runs the quick shallow and deep corpora through
+    the batched engine. Each branch below must be reached, or the
+    lockstep assertions could pass while a branch never runs: the
+    whole-batch cache pre-touch, a fence stop that pushes back a
+    non-empty suffix, a dispatched non-final leaf, and a dispatched
+    task with partial inputs. No batch may end with zero dispatches
+    (the fence invariant), so every task goes through an epoch.
+    """
+    from repro.core.fibercache import FiberCache
+    from repro.core.scheduler import EpochScheduler
+    from repro.core.simulator import _BatchedRunState
+
+    seen = {"pretouch": 0, "push_back": 0, "nonfinal_leaf": 0,
+            "partial_inputs": 0, "empty_batch": 0}
+    fetch_read_epoch = FiberCache.fetch_read_epoch
+    push_back = EpochScheduler.push_back
+    execute_epoch = _BatchedRunState._execute_epoch
+
+    def spy_fetch_read_epoch(self, *args, **kwargs):
+        seen["pretouch"] += 1
+        return fetch_read_epoch(self, *args, **kwargs)
+
+    def spy_push_back(self, entries):
+        if len(entries):
+            seen["push_back"] += 1
+        return push_back(self, entries)
+
+    def spy_execute_epoch(self, entries, *args):
+        tasks = [entry[1] for entry in entries]
+        dispatched = execute_epoch(self, entries, *args)
+        if not dispatched:
+            seen["empty_batch"] += 1
+        for task in tasks[:dispatched]:
+            if task.level == 0 and not task.is_final:
+                seen["nonfinal_leaf"] += 1
+            if any(inp.kind == "partial" for inp in task.inputs):
+                seen["partial_inputs"] += 1
+        return dispatched
+
+    monkeypatch.setattr(FiberCache, "fetch_read_epoch", spy_fetch_read_epoch)
+    monkeypatch.setattr(EpochScheduler, "push_back", spy_push_back)
+    monkeypatch.setattr(_BatchedRunState, "_execute_epoch",
+                        spy_execute_epoch)
+    for seed in QUICK_SEEDS:
+        for config, pair in ((SMALL_CONFIG, random_pair),
+                             (DEEP_CONFIG, deep_pair)):
+            for multi_pe in (True, False):
+                a, b = pair(seed)
+                result = GammaSimulator(
+                    config, multi_pe_scheduling=multi_pe).run(a, b)
+                assert result.dispatch["scalar"] == 0, (seed, config)
+    assert seen["empty_batch"] == 0, seen
+    for branch in ("pretouch", "push_back", "nonfinal_leaf",
+                   "partial_inputs"):
+        assert seen[branch] > 0, f"{branch} never reached: {seen}"
+
+
 @pytest.mark.parametrize("seed", QUICK_SEEDS)
 @pytest.mark.parametrize("name,semiring", SEMIRINGS,
                          ids=[name for name, _ in SEMIRINGS])
 @pytest.mark.parametrize("multi_pe", (True, False),
                          ids=("multipe", "singlepe"))
 def test_lockstep_deep_trees(seed, name, semiring, multi_pe):
-    """Interior cohorts across semirings and scheduler modes."""
+    """Interior epochs across semirings and scheduler modes."""
     a, b = deep_pair(seed)
     reference = ReferenceGammaSimulator(
         DEEP_CONFIG, multi_pe_scheduling=multi_pe,
@@ -272,7 +333,7 @@ def test_lockstep_deep_trees(seed, name, semiring, multi_pe):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:4])
 def test_lockstep_deep_partial_evictions(seed):
-    """Partial fibers spilled mid-cohort re-read from DRAM identically."""
+    """Partial fibers spilled mid-epoch re-read from DRAM identically."""
     a, b = deep_pair(seed)
     reference = ReferenceGammaSimulator(DEEP_CONFIG).run(a, b)
     batched = GammaSimulator(DEEP_CONFIG).run(a, b)
@@ -284,7 +345,7 @@ def test_lockstep_deep_partial_evictions(seed):
 
 @pytest.mark.parametrize("seed", QUICK_SEEDS[:4])
 def test_lockstep_deep_single_pe(seed):
-    """One PE serializes every cohort dispatch through the same queue."""
+    """One PE serializes every epoch dispatch through the same queue."""
     config = GammaConfig(
         num_pes=1, radix=2, fibercache_bytes=1024,
         fibercache_ways=2, fibercache_banks=2,
