@@ -12,7 +12,6 @@ from repro.baselines.sparch import (
 from repro.baselines.sparsezipper import run_sparsezipper_model, zipper_spgemm
 from repro.baselines.spgemm_ref import (
     SpgemmCounts,
-    output_nnz_upper_bound,
     spgemm_hash,
     spgemm_semiring,
     spgemm_spa,
@@ -32,7 +31,6 @@ __all__ = [
     "compulsory_traffic",
     "condensed_width",
     "lane_utilization",
-    "output_nnz_upper_bound",
     "run_gamma_spmv",
     "run_inner_product_model",
     "run_mkl_model",

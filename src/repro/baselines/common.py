@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
-
+from typing import Dict
 
 
 @dataclass(frozen=True)
@@ -18,8 +17,7 @@ class BaselineResult:
         traffic_bytes: DRAM bytes by category
             (A / B / C / partial_read / partial_write).
         flops: Multiply-accumulate operations.
-        c_nnz: Output nonzero count the model priced C traffic with
-            (the caller-supplied truth, or the model's upper bound).
+        c_nnz: Output nonzero count the model priced C traffic with.
     """
 
     name: str
@@ -27,7 +25,7 @@ class BaselineResult:
     frequency_hz: float
     traffic_bytes: Dict[str, int]
     flops: int
-    c_nnz: Optional[int] = None
+    c_nnz: int
 
     @property
     def total_traffic(self) -> int:

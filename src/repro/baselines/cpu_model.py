@@ -21,7 +21,6 @@ from typing import Optional
 from repro.config import CpuConfig, ELEMENT_BYTES, OFFSET_BYTES
 from repro.analysis.reuse import b_read_traffic, gustavson_row_stream
 from repro.baselines.common import BaselineResult
-from repro.baselines.spgemm_ref import output_nnz_upper_bound
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.stats import flops as count_flops
 
@@ -41,7 +40,8 @@ def run_mkl_model(
     a: CsrMatrix,
     b: CsrMatrix,
     config: Optional[CpuConfig] = None,
-    c_nnz: Optional[int] = None,
+    *,
+    c_nnz: int,
 ) -> BaselineResult:
     """Estimate MKL's runtime and traffic for C = A x B.
 
@@ -49,13 +49,11 @@ def run_mkl_model(
         a: Left operand.
         b: Right operand.
         config: CPU platform parameters.
-        c_nnz: Nonzeros of the output, if already known (otherwise a
-            conservative upper bound is used for C write traffic).
+        c_nnz: Nonzeros of the output, which C write traffic is priced
+            with (:func:`repro.matrices.product_nnz`).
     """
     config = config or CpuConfig()
     flops = count_flops(a, b)
-    if c_nnz is None:
-        c_nnz = output_nnz_upper_bound(a, b)
 
     a_bytes = a.nnz * ELEMENT_BYTES + a.num_rows * OFFSET_BYTES
     c_bytes = c_nnz * ELEMENT_BYTES + a.num_rows * OFFSET_BYTES

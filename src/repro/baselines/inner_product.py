@@ -20,7 +20,6 @@ from typing import Optional
 
 from repro.config import GammaConfig, OFFSET_BYTES
 from repro.baselines.common import BaselineResult
-from repro.baselines.spgemm_ref import output_nnz_upper_bound
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.stats import flops as count_flops
 
@@ -42,7 +41,8 @@ def run_inner_product_model(
     a: CsrMatrix,
     b: CsrMatrix,
     config: Optional[GammaConfig] = None,
-    c_nnz: Optional[int] = None,
+    *,
+    c_nnz: int,
 ) -> BaselineResult:
     """Estimate the traffic of an optimally tiled inner-product accelerator.
 
@@ -50,11 +50,9 @@ def run_inner_product_model(
         a: Left operand (traversed by row blocks).
         b: Right operand (traversed by column blocks).
         config: Provides the on-chip buffer capacity (iso with Gamma).
-        c_nnz: Output nonzeros if known.
+        c_nnz: Output nonzeros (:func:`repro.matrices.product_nnz`).
     """
     config = config or GammaConfig()
-    if c_nnz is None:
-        c_nnz = output_nnz_upper_bound(a, b)
     flops = count_flops(a, b)
     # The tiler sizes blocks from average density, but per-tile occupancy
     # is "hard-to-predict" on irregular matrices (Sec. 2.3): blocks must

@@ -18,7 +18,6 @@ from typing import Optional
 
 from repro.config import ELEMENT_BYTES, GammaConfig, OFFSET_BYTES
 from repro.baselines.common import BaselineResult
-from repro.baselines.spgemm_ref import output_nnz_upper_bound
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.stats import flops as count_flops
 
@@ -27,13 +26,12 @@ def run_matraptor_model(
     a: CsrMatrix,
     b: CsrMatrix,
     config: Optional[GammaConfig] = None,
-    c_nnz: Optional[int] = None,
+    *,
+    c_nnz: int,
 ) -> BaselineResult:
     """Estimate MatRaptor's traffic and runtime for C = A x B."""
     config = config or GammaConfig()
     flops = count_flops(a, b)
-    if c_nnz is None:
-        c_nnz = output_nnz_upper_bound(a, b)
 
     a_bytes = a.nnz * ELEMENT_BYTES + a.num_rows * OFFSET_BYTES
     # Every referenced B row is fetched on every use: B traffic equals the

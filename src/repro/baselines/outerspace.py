@@ -26,7 +26,6 @@ from typing import Optional
 
 from repro.config import ELEMENT_BYTES, GammaConfig, OFFSET_BYTES
 from repro.baselines.common import BaselineResult
-from repro.baselines.spgemm_ref import output_nnz_upper_bound
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.stats import flops as count_flops
 
@@ -47,13 +46,12 @@ def run_outerspace_model(
     a: CsrMatrix,
     b: CsrMatrix,
     config: Optional[GammaConfig] = None,
-    c_nnz: Optional[int] = None,
+    *,
+    c_nnz: int,
 ) -> BaselineResult:
     """Estimate OuterSPACE's traffic and runtime for C = A x B."""
     config = config or GammaConfig()
     flops = count_flops(a, b)
-    if c_nnz is None:
-        c_nnz = output_nnz_upper_bound(a, b)
 
     a_bytes = a.nnz * ELEMENT_BYTES + a.num_cols * OFFSET_BYTES  # CSC
     b_bytes = b.nnz * ELEMENT_BYTES + b.num_rows * OFFSET_BYTES

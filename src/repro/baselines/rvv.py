@@ -24,7 +24,6 @@ import numpy as np
 
 from repro.analysis.reuse import b_read_traffic, gustavson_row_stream
 from repro.baselines.common import BaselineResult
-from repro.baselines.spgemm_ref import output_nnz_upper_bound
 from repro.config import CpuConfig, ELEMENT_BYTES, OFFSET_BYTES
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.fiber import Fiber
@@ -96,13 +95,12 @@ def run_rvv_model(
     a: CsrMatrix,
     b: CsrMatrix,
     config: Optional[CpuConfig] = None,
-    c_nnz: Optional[int] = None,
+    *,
+    c_nnz: int,
 ) -> BaselineResult:
     """Estimate the RVV core's runtime and traffic for C = A x B."""
     config = config or CpuConfig()
     flops = count_flops(a, b)
-    if c_nnz is None:
-        c_nnz = output_nnz_upper_bound(a, b)
 
     a_bytes = a.nnz * ELEMENT_BYTES + a.num_rows * OFFSET_BYTES
     c_bytes = c_nnz * ELEMENT_BYTES + a.num_rows * OFFSET_BYTES

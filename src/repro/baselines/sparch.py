@@ -29,7 +29,6 @@ import numpy as np
 from repro.config import ELEMENT_BYTES, GammaConfig, OFFSET_BYTES
 from repro.analysis.reuse import b_read_traffic
 from repro.baselines.common import BaselineResult
-from repro.baselines.spgemm_ref import output_nnz_upper_bound
 from repro.matrices.csr import CsrMatrix
 from repro.matrices.stats import flops as count_flops
 
@@ -93,13 +92,12 @@ def run_sparch_model(
     a: CsrMatrix,
     b: CsrMatrix,
     config: Optional[GammaConfig] = None,
-    c_nnz: Optional[int] = None,
+    *,
+    c_nnz: int,
 ) -> BaselineResult:
     """Estimate SpArch's traffic and runtime for C = A x B."""
     config = config or GammaConfig()
     flops = count_flops(a, b)
-    if c_nnz is None:
-        c_nnz = output_nnz_upper_bound(a, b)
 
     a_bytes = a.nnz * ELEMENT_BYTES + a.num_rows * OFFSET_BYTES
     prefetch_bytes = int(config.fibercache_bytes * _PREFETCH_FRACTION)

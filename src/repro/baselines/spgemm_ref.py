@@ -165,10 +165,3 @@ def spgemm_semiring(a: CsrMatrix, b: CsrMatrix, semiring,
             check=False,
         ))
     return CsrMatrix.from_rows(rows, b.num_cols)
-
-
-def output_nnz_upper_bound(a: CsrMatrix, b: CsrMatrix) -> int:
-    """Sum of products bound on nnz(C) (the Sec. 3.4 conservative size)."""
-    if a.nnz == 0:
-        return 0
-    return int(b.row_lengths()[a.coords].sum())

@@ -27,7 +27,7 @@ from repro.engine.defaults import (
     scaled_cpu_config,
     scaled_gamma_config,
 )
-from repro.engine.record import RunRecord, derive_c_nnz
+from repro.engine.record import RunRecord
 from repro.engine.registry import (
     CPU_MODELS,
     GAMMA_MODELS,
@@ -88,7 +88,6 @@ __all__ = [
     "worker_loop",
     "available_models",
     "default_config_for",
-    "derive_c_nnz",
     "execute_point",
     "get_model",
     "pending_points",

@@ -19,23 +19,12 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Union
 
-from repro.config import CpuConfig, ELEMENT_BYTES, GammaConfig, OFFSET_BYTES
+from repro.config import CpuConfig, GammaConfig
 
 #: Bump to invalidate every cached record (part of each disk-cache key).
 SCHEMA_VERSION = 2
 
 _CONFIG_KINDS = {"gamma": GammaConfig, "cpu": CpuConfig}
-
-
-def derive_c_nnz(compulsory_c_bytes: int, num_rows: int) -> int:
-    """Recover the output nonzero count from compulsory C traffic.
-
-    Compulsory C traffic is ``c_nnz * ELEMENT_BYTES + num_rows *
-    OFFSET_BYTES`` (values+coords plus the row-pointer array), so the count
-    can be back-derived for legacy cache entries that predate the explicit
-    ``c_nnz`` field.
-    """
-    return (compulsory_c_bytes - num_rows * OFFSET_BYTES) // ELEMENT_BYTES
 
 
 def _config_payload(config: Union[GammaConfig, CpuConfig, None]):
@@ -135,11 +124,9 @@ class RunRecord:
     @classmethod
     def from_baseline(cls, result, *, model: str, matrix: str = "",
                       compulsory_bytes: Optional[Dict[str, int]] = None,
-                      config: Union[GammaConfig, CpuConfig, None] = None,
-                      c_nnz: Optional[int] = None) -> "RunRecord":
+                      config: Union[GammaConfig, CpuConfig, None] = None
+                      ) -> "RunRecord":
         """Adapt a :class:`repro.baselines.BaselineResult`."""
-        if c_nnz is None:
-            c_nnz = getattr(result, "c_nnz", None) or 0
         return cls(
             model=model, matrix=matrix, variant="",
             cycles=result.cycles,
@@ -147,7 +134,7 @@ class RunRecord:
             traffic_bytes=dict(result.traffic_bytes),
             compulsory_bytes=dict(compulsory_bytes or {}),
             flops=result.flops,
-            c_nnz=c_nnz,
+            c_nnz=result.c_nnz,
             config=config,
         )
 
@@ -161,18 +148,9 @@ class RunRecord:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, Any]) -> "RunRecord":
-        """Rebuild a record from :meth:`to_payload` output.
-
-        Tolerates legacy entries lacking ``c_nnz`` by back-deriving it
-        from compulsory C traffic via the element/offset size constants.
-        """
+        """Rebuild a record from :meth:`to_payload` output."""
         params = {k: v for k, v in payload.items() if k != "schema"}
         params["config"] = _config_from_payload(params.get("config"))
-        if params.get("c_nnz") is None:
-            compulsory = params.get("compulsory_bytes") or {}
-            num_rows = params.pop("num_rows", 0)
-            params["c_nnz"] = derive_c_nnz(compulsory.get("C", 0), num_rows)
-        params.pop("num_rows", None)
         return cls(**params)
 
     def fingerprint(self) -> str:

@@ -12,7 +12,7 @@ Registering a new model is one decorated class::
 
     @register_model("mymodel")
     class MyModel:
-        def run(self, a, b, config=None, *, matrix="", c_nnz=None, **kw):
+        def run(self, a, b, config=None, *, matrix="", **kw):
             ...
             return RunRecord(...)
 """
@@ -229,13 +229,13 @@ GAMMA_ENGINES = {"batched": "gamma", "ref": "gamma-ref"}
 
 #: Models that are the cycle-level Gamma simulator (either engine); the
 #: sweep engine treats these alike for record keying, program caching,
-#: and c_nnz bootstrapping.
+#: and masks.
 GAMMA_MODELS = frozenset(GAMMA_ENGINES.values())
 
 #: Every model backed by the cycle-level simulator — the SpGEMM engines
-#: plus the SpMV degeneration. These compute their own exact c_nnz and
-#: accept semiring overrides; the sweep engine collects metrics and
-#: skips the c_nnz-bootstrap prerequisite for them.
+#: plus the SpMV degeneration. These count their own c_nnz and accept
+#: semiring overrides; the sweep engine collects metrics for them. Every
+#: other model is a traffic model that takes ``c_nnz`` as an input.
 SIMULATOR_MODELS = GAMMA_MODELS | {"gamma-spmv"}
 
 #: CPU platform models (roofline over the Gustavson kernel) — these run
@@ -249,10 +249,9 @@ CPU_MODELS = frozenset({"mkl", "sparsezipper", "rvv"})
 class _BaselineModel:
     """Adapter wrapping a ``run_*_model`` function as a registry model.
 
-    Baselines need the true output size (``c_nnz``) for C write traffic;
-    callers that know it (the sweep engine gets it from a cached Gamma
-    record) pass it through, otherwise the model's own conservative upper
-    bound applies.
+    Baselines price C write traffic with the output size, ``c_nnz``, a
+    required input: the sweep engine passes
+    :func:`repro.matrices.suite.product_nnz`.
     """
 
     registry_name: str = ""
@@ -264,14 +263,12 @@ class _BaselineModel:
         return scaled_gamma_config()
 
     def run(self, a: CsrMatrix, b: CsrMatrix, config=None, *,
-            matrix: str = "", c_nnz: Optional[int] = None,
-            **_ignored) -> RunRecord:
+            c_nnz: int, matrix: str = "", **_ignored) -> RunRecord:
         config = config or self._default_config()
-        result = self._run_fn()(a, b, config, c_nnz)
-        compulsory = compulsory_traffic(a, b, result.c_nnz or c_nnz or 0)
+        result = self._run_fn()(a, b, config, c_nnz=c_nnz)
         return RunRecord.from_baseline(
             result, model=self.registry_name, matrix=matrix,
-            compulsory_bytes=compulsory, config=config)
+            compulsory_bytes=compulsory_traffic(a, b, c_nnz), config=config)
 
 
 @register_model("ip")

@@ -4,8 +4,8 @@ The paper's figures are a cross-product — models x matrices x
 preprocessing variants x hardware configs (Figs. 10-25) — and each point
 is independent, so the sweep engine enumerates them as
 :class:`SweepPoint` values, skips the ones already in the disk cache, and
-executes the misses across worker processes. The disk cache is the
-cross-process result store: workers write records atomically and
+executes the misses across worker processes. Workers send each record
+back over their pipe and store it in the disk cache, atomically and
 checksum-validated (see :mod:`repro.engine.diskcache`), so a crashed or
 raced sweep never leaves torn entries and a re-run only pays for what is
 missing.
@@ -310,8 +310,6 @@ class SweepResult(Dict[SweepPoint, RunRecord]):
         provenance: Per completed point: where its record came from
             (``source``: 'cached' or 'computed'), how many attempts it
             took, and — for computed points — the wall-clock seconds.
-            Prerequisite Gamma runs computed for baseline points appear
-            too, so a run report can account for every evaluation.
     """
 
     def __init__(self) -> None:
@@ -398,15 +396,38 @@ def metrics_requested() -> bool:
     return os.environ.get(METRICS_ENV, "") == "1"
 
 
+def cached_record(point: SweepPoint,
+                  collect_metrics: Optional[bool] = None
+                  ) -> Optional[RunRecord]:
+    """The point's record from the disk cache, or None to compute it.
+
+    ``collect_metrics=None`` defers to :func:`metrics_requested`. When
+    metrics are requested and a cached simulator record predates them
+    (no blob), it reads as a miss: recomputing it instrumented is
+    behaviorally identical (the fingerprint excludes metrics), just
+    richer. A stale or foreign entry is a miss too, and is overwritten.
+    """
+    if collect_metrics is None:
+        collect_metrics = metrics_requested()
+    payload = diskcache.load(record_key(point))
+    if payload is None or (collect_metrics
+                           and point.model in SIMULATOR_MODELS
+                           and payload.get("metrics") is None):
+        return None
+    try:
+        return RunRecord.from_payload(payload)
+    except (KeyError, TypeError, ValueError):
+        return None
+
+
 def execute_point(point: SweepPoint,
                   collect_metrics: Optional[bool] = None) -> RunRecord:
     """Evaluate one sweep point, reading/populating the disk cache.
 
-    ``collect_metrics=None`` defers to :func:`metrics_requested`. When
-    metrics are requested and the cached Gamma record predates them
-    (no blob), the point is recomputed instrumented and the entry is
-    overwritten — behaviorally identical (the fingerprint excludes
-    metrics), just richer.
+    Every point stands alone: a baseline prices its output with the
+    operands' exact product size
+    (:func:`repro.matrices.suite.product_nnz`), not with another point's
+    record. See :func:`cached_record` for ``collect_metrics``.
 
     The fault hooks (:mod:`repro.engine.faults`) are no-ops unless a
     fault plan is active — the chaos suite uses them to make this exact
@@ -414,15 +435,10 @@ def execute_point(point: SweepPoint,
     """
     if collect_metrics is None:
         collect_metrics = metrics_requested()
+    record = cached_record(point, collect_metrics)
+    if record is not None:
+        return record
     want_metrics = collect_metrics and point.model in SIMULATOR_MODELS
-    key = record_key(point)
-    payload = diskcache.load(key)
-    if payload is not None:
-        if not (want_metrics and payload.get("metrics") is None):
-            try:
-                return RunRecord.from_payload(payload)
-            except (KeyError, TypeError, ValueError):
-                pass  # stale/foreign entry: recompute and overwrite
 
     faults.on_point_start(point.model, point.matrix, point.variant)
 
@@ -447,8 +463,9 @@ def execute_point(point: SweepPoint,
             multi_pe=point.multi_pe, semiring=point.semiring,
             operand=point.operand, collect_metrics=want_metrics)
     else:
-        c_nnz = execute_point(SweepPoint("gamma", point.matrix)).c_nnz
-        record = model.run(a, b, config, matrix=point.matrix, c_nnz=c_nnz)
+        record = model.run(a, b, config, matrix=point.matrix,
+                           c_nnz=suite.product_nnz(point.matrix))
+    key = record_key(point)
     diskcache.store(key, record.to_payload())
     spans.emit_span("point/execute", compute_start,
                     point=point.label(), model=point.model,
@@ -529,15 +546,8 @@ def plan_sweep(
 
 def pending_points(points: Iterable[SweepPoint]) -> List[SweepPoint]:
     """Deduplicate a plan and drop points already in the disk cache."""
-    seen = set()
-    pending = []
-    for point in points:
-        if point in seen:
-            continue
-        seen.add(point)
-        if diskcache.load(record_key(point)) is None:
-            pending.append(point)
-    return pending
+    return [point for point in dict.fromkeys(points)
+            if cached_record(point) is None]
 
 
 # ----------------------------------------------------------------------
@@ -559,9 +569,8 @@ def save_checkpoint(key: str, total: int, result: SweepResult) -> None:
     under ``key``, the :func:`checkpoint_key` of a ``total``-point plan.
 
     Only resume-relevant state goes in: execution stats vary with
-    scheduling (e.g. racing workers may each compute a shared
-    prerequisite), and the cache must stay byte-identical between
-    serial and parallel runs of the same plan.
+    scheduling (retries, crash timing), and the cache must stay
+    byte-identical between serial and parallel runs of the same plan.
     """
     diskcache.store(key, {
         "version": CHECKPOINT_VERSION,
@@ -604,10 +613,10 @@ def run_sweep(
 ) -> SweepResult:
     """Execute a sweep, parallelizing cache misses across processes.
 
-    Already-cached points are loaded, not recomputed. Baseline points
-    need each matrix's output size, which comes from a plain Gamma run;
-    those prerequisite points are executed first so parallel baseline
-    workers find them in the cache instead of redoing the simulation.
+    Each cached point is loaded once; the misses run on one
+    :class:`SlotPool` for the whole plan, whose workers send each record
+    back over their pipe. Points are independent, so misses need no
+    ordering between them.
 
     Failing points are retried and eventually quarantined per ``policy``
     — the sweep always completes (unless ``policy.fail_fast``) and the
@@ -616,16 +625,17 @@ def run_sweep(
 
     Args:
         points: The plan (duplicates are collapsed).
-        workers: Process count (default: ``os.cpu_count()``).
-        serial: Run misses in this process instead — same results,
-            useful for determinism checks and debugging. Serial mode
-            retries and quarantines but cannot cancel a hung point
-            (``timeout_seconds`` needs a killable worker process).
-        on_result: Called in the parent as each point completes.
+        workers: Process count (default: ``os.cpu_count()``; 1 or fewer
+            runs misses in this process).
+        serial: Run misses in this process, in plan order — same
+            results, useful for determinism checks and debugging.
+            Serial mode retries and quarantines but cannot cancel a hung
+            point (``timeout_seconds`` needs a killable worker process).
+        on_result: Called in the parent for every completed point, in
+            plan order, once the misses have run.
         on_executed: Called in the parent for each point actually
-            *computed* (a cache miss) with its wall-clock seconds —
-            cached loads do not fire it. Prerequisite Gamma runs that
-            were not themselves planned fire it too.
+            *computed* (a cache miss) with its wall-clock seconds, as it
+            completes — cached loads do not fire it.
         policy: Failure-handling policy (default :class:`SweepPolicy`).
         metrics: Optional :class:`~repro.obs.MetricsRegistry`; retries,
             timeouts, crashes, and quarantines are published as
@@ -642,8 +652,9 @@ def run_sweep(
             unless asked.
 
     Returns:
-        Every completed point mapped to its record, serial or parallel
-        alike — the result of a sweep does not depend on how it ran.
+        Every completed point mapped to its record, in plan order,
+        serial or parallel alike — the result of a sweep does not depend
+        on how it ran.
     """
     policy = policy or SweepPolicy()
     ordered = list(dict.fromkeys(points))
@@ -691,29 +702,15 @@ def run_sweep(
         if not info["ok"]:
             count(FAILURE_STATS[reason], point=point)
 
-    skip: Dict[SweepPoint, PointFailure] = {}
     if resume:
-        checkpoint = load_checkpoint(ordered)
-        if checkpoint:
-            for payload in checkpoint.get("quarantined", ()):
-                failure = PointFailure.from_payload(payload)
-                failure.reason = "previous-run"
-                skip[failure.point] = failure
-    for point, failure in skip.items():
-        if point in ordered:
-            result.quarantined[point] = failure
-            count("quarantined", point=point)
+        checkpoint = load_checkpoint(ordered) or {}
+        for payload in checkpoint.get("quarantined", ()):
+            failure = PointFailure.from_payload(payload)
+            failure.reason = "previous-run"
+            if failure.point in ordered:
+                result.quarantined[failure.point] = failure
+                count("quarantined", point=failure.point)
 
-    runnable = [p for p in ordered if p not in result.quarantined]
-    pending = pending_points(runnable)
-    prerequisites = [
-        p for p in dict.fromkeys(
-            SweepPoint("gamma", q.matrix)
-            for q in pending if q.model not in SIMULATOR_MODELS)
-        if p not in result.quarantined
-    ]
-
-    computed: set = set()
     # Hashing the whole plan takes milliseconds; it is done once, not
     # per settled point while the pool threads keep the workers busy.
     progress_key = checkpoint_key(ordered)
@@ -722,23 +719,22 @@ def run_sweep(
         if diskcache.cache_enabled():
             save_checkpoint(progress_key, len(ordered), result)
 
-    def settle(point: SweepPoint,
-               outcome: Dict[str, Any]) -> Optional[RunRecord]:
+    records: Dict[SweepPoint, RunRecord] = {}
+
+    def settle(point: SweepPoint, outcome: Dict[str, Any]) -> None:
         """Record a point's final outcome (calling thread only)."""
         if outcome["ok"]:
-            record = outcome["record"]
-            wall_seconds = outcome["wall_seconds"]
-            computed.add(point)
+            records[point] = outcome["record"]
             count("executed", point=point)
             result.provenance[point] = {
                 "source": "computed",
                 "attempts": failed_attempts.get(point, 0) + 1,
-                "wall_seconds": wall_seconds,
+                "wall_seconds": outcome["wall_seconds"],
             }
             if on_executed is not None:
-                on_executed(point, record, wall_seconds)
+                on_executed(point, records[point], outcome["wall_seconds"])
             save_progress()
-            return record
+            return
         failure = PointFailure(point, outcome["attempts"], outcome["reason"],
                                outcome["error"])
         result.quarantined[point] = failure
@@ -746,90 +742,63 @@ def run_sweep(
         save_progress()
         if policy.fail_fast:
             raise SweepPointError(failure)
-        return None
 
     if collect_metrics:
         os.environ[METRICS_ENV] = "1"
     try:
-        return _run_sweep_body(
-            ordered, pending, prerequisites, result, computed, workers,
-            serial, policy, count, publish, settle, save_progress,
-            on_result)
+        pending = []
+        for point in ordered:
+            if point in result.quarantined:
+                continue
+            record = cached_record(point)
+            if record is None:
+                pending.append(point)
+                continue
+            records[point] = record
+            count("cached", point=point)
+            result.provenance[point] = {"source": "cached", "attempts": 0}
+        parallel = not serial and (workers is None or workers > 1)
+        size = (min(workers or os.cpu_count() or 1, len(pending))
+                if parallel else 0)
+        _run_pending(pending, size, policy, publish, settle)
     finally:
         if collect_metrics:
             os.environ.pop(METRICS_ENV, None)
-
-
-def _run_sweep_body(
-    ordered, pending, prerequisites, result, computed, workers, serial,
-    policy, count, publish, settle, save_progress, on_result,
-) -> SweepResult:
-    pending_set = set(pending)
-    if (not serial and diskcache.cache_enabled()
-            and (workers is None or workers > 1)):
-        max_workers = workers or os.cpu_count() or 1
-        for batch in (pending_points(prerequisites), pending):
-            # A plan point the prerequisite batch settled is done: running
-            # it again would only reload it and count it twice.
-            batch = [p for p in batch
-                     if p not in result.quarantined and p not in computed]
-            _run_batch(batch, max_workers, policy, publish, settle)
-        pending_set = set()  # the pools computed (and settled) them all
-    # Serial mode (and the no-disk-cache fallback, where processes cannot
-    # share results) computes misses right here, in plan order.
-    inline = SlotPool(0)
     for point in ordered:
-        if point in result.quarantined:
-            continue
-        if point in pending_set:
-            record = settle(point,
-                            inline.run_with_retries(point, policy, publish))
-        else:
-            try:
-                record = execute_point(point)
-            except Exception:
-                # A cached load can only fail here if the entry was
-                # invalidated underneath us *and* recomputation failed;
-                # the point then retries like any pending one.
-                count("errors", point=point)
-                record = settle(
-                    point, inline.run_with_retries(point, policy, publish))
-            if record is not None and point not in computed:
-                count("cached", point=point)
-                result.provenance.setdefault(
-                    point, {"source": "cached", "attempts": 0})
-        if record is None:
-            continue
-        result[point] = record
-        if on_result is not None:
-            on_result(point, record)
+        if point in records:
+            result[point] = records[point]
+            if on_result is not None:
+                on_result(point, records[point])
     save_progress()
     return result
 
 
-def _run_batch(
-    batch: Sequence[SweepPoint],
-    workers: int,
+def _run_pending(
+    pending: Sequence[SweepPoint],
+    size: int,
     policy: SweepPolicy,
     publish: Callable[[str, SweepPoint, Dict[str, Any]], None],
-    settle: Callable[[SweepPoint, Dict[str, Any]], Optional[RunRecord]],
+    settle: Callable[[SweepPoint, Dict[str, Any]], None],
 ) -> None:
-    """Run a batch on its own :class:`SlotPool`, one thread per slot.
+    """Run every point on one ``SlotPool(size)``, then close it.
 
-    Points are submitted in plan order, and the executor's FIFO queue
-    starts them in that order. Outcomes are settled here, in the calling
-    thread, so only it touches the result and the checkpoint.
+    ``SlotPool(0)`` runs the points here, in plan order. Otherwise one
+    thread per slot drives the retry loop; points are submitted in plan
+    order, and the executor's FIFO queue starts them in that order.
+    Outcomes are settled in the calling thread either way, so only it
+    touches the result and the checkpoint.
     """
-    if not batch:
-        return
-    size = min(workers, len(batch))
     pool = SlotPool(size)
+    if not size:
+        for point in pending:
+            settle(point, pool.run_with_retries(point, policy, publish))
+        return
     threads = ThreadPoolExecutor(size, thread_name_prefix="sweep-slot")
     try:
         futures = {
             threads.submit(pool.run_with_retries, point, policy, publish):
                 point
-            for point in batch
+            for point in pending
         }
         for future in as_completed(futures):
             settle(futures[future], future.result())
@@ -959,9 +928,9 @@ class SlotPool:
     ``ProcessPoolExecutor``, where a hung task holds its worker forever
     and a dead worker breaks the whole pool, each slot is killed and
     respawned on its own. ``SlotPool(0)`` owns no processes and runs each
-    attempt inline in the calling thread (serial sweeps, the
-    no-disk-cache fallback, ``ServerConfig(workers=0)``); nothing can
-    cancel an inline attempt, so timeouts are not enforced there.
+    attempt inline in the calling thread (serial sweeps,
+    ``ServerConfig(workers=0)``); nothing can cancel an inline attempt,
+    so timeouts are not enforced there.
 
     :meth:`run_point` and :meth:`run_with_retries` block and are
     thread-safe: the parallel sweep calls the loop from one thread per

@@ -728,15 +728,10 @@ def dataflows_figure(names: Sequence[str], figure: str) -> Dict:
 def matraptor_figure(names: Sequence[str], figure: str,
                      runner: Optional[ExperimentRunner] = None) -> Dict:
     """MatRaptor vs Gamma: Gustavson without B reuse (Sec. 7)."""
-    from repro.baselines.matraptor import run_matraptor_model
-
     runner = _resolve(runner)
     rows = []
     for name in names:
-        a, b = suite.operands(name)
-        c_nnz = runner.c_nnz(name)
-        matraptor = run_matraptor_model(
-            a, b, scaled_gamma_config(), c_nnz)
+        matraptor = runner.baseline("matraptor", name)
         outerspace = runner.baseline("outerspace", name)
         gamma = runner.gamma(name, "none")
         rows.append({

@@ -122,11 +122,11 @@ class ExperimentRunner:
 
     # -- output size (needed by the traffic models) ---------------------
     def c_nnz(self, name: str) -> int:
-        return self.gamma(name).c_nnz
+        return suite.product_nnz(name)
 
     def compulsory(self, name: str) -> Dict[str, int]:
         a, b = suite.operands(name)
-        return compulsory_traffic(a, b, self.c_nnz(name))
+        return compulsory_traffic(a, b, suite.product_nnz(name))
 
     def compulsory_total(self, name: str) -> int:
         return sum(self.compulsory(name).values())

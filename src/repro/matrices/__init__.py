@@ -9,7 +9,13 @@ from repro.matrices.io import (
     read_matrix_market,
     write_matrix_market,
 )
-from repro.matrices.stats import MatrixStats, flops, matrix_affinity, window_size
+from repro.matrices.stats import (
+    MatrixStats,
+    flops,
+    matrix_affinity,
+    product_nnz,
+    window_size,
+)
 
 __all__ = [
     "CooBuilder",
@@ -23,6 +29,7 @@ __all__ = [
     "matrix_affinity",
     "matrix_from_coo",
     "matrix_market_string",
+    "product_nnz",
     "read_matrix_market",
     "window_size",
     "write_matrix_market",

@@ -98,6 +98,60 @@ def flops(a: CsrMatrix, b: CsrMatrix) -> int:
     return int(b_lengths[a.coords].sum())
 
 
+#: Products expanded per :func:`product_nnz` chunk, bounding the sort's
+#: temporaries to a few int64 arrays of this length (a row with more
+#: products than this is a chunk of its own).
+_PRODUCT_CHUNK = 1 << 18
+
+
+def product_nnz(a: CsrMatrix, b: CsrMatrix) -> int:
+    """Exact structural nonzero count of C = A x B.
+
+    Per row of A, the size of the union of the B-row patterns that
+    row's nonzeros select. Entries that cancel to exactly zero still
+    count, as they do in Gamma's output (``linear_combine`` keeps them),
+    so this is the ``c_nnz`` every Gamma run reports, computed from the
+    operands alone. Rows are processed in chunks of about
+    :data:`_PRODUCT_CHUNK` products: each chunk's (row, column) keys are
+    sorted and their distinct values counted.
+    """
+    if a.num_cols != b.num_rows:
+        raise ValueError(
+            f"inner dimensions differ: {a.shape} x {b.shape}"
+        )
+    if a.nnz == 0:
+        return 0
+    work = b.row_lengths()[a.coords]
+    done = np.zeros(a.nnz + 1, dtype=np.int64)
+    np.cumsum(work, out=done[1:])
+    row_done = done[a.offsets]
+    a_lengths = a.row_lengths()
+    total = 0
+    start = 0
+    while start < a.num_rows:
+        stop = int(np.searchsorted(
+            row_done, row_done[start] + _PRODUCT_CHUNK, side="right")) - 1
+        stop = min(max(stop, start + 1), a.num_rows)
+        lo, hi = a.offsets[start], a.offsets[stop]
+        counts = work[lo:hi]
+        products = int(done[hi] - done[lo])
+        if products:
+            rows = np.repeat(np.repeat(
+                np.arange(stop - start, dtype=np.int64),
+                a_lengths[start:stop]), counts)
+            # Position in b.coords of every product: the selected B
+            # row's start plus the product's rank within that row.
+            first = np.repeat(
+                b.offsets[a.coords[lo:hi]] - (done[lo:hi] - done[lo]),
+                counts)
+            keys = rows * b.num_cols + b.coords[
+                first + np.arange(products, dtype=np.int64)]
+            keys.sort()
+            total += 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+        start = stop
+    return total
+
+
 def reuse_factor(a: CsrMatrix, b: CsrMatrix) -> float:
     """Average times each touched row of B is consumed (Gustavson reuse)."""
     if a.nnz == 0:

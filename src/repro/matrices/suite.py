@@ -20,6 +20,7 @@ from typing import Dict, List, Tuple
 
 from repro.matrices import generators
 from repro.matrices.csr import CsrMatrix
+from repro.matrices.stats import product_nnz as _product_nnz
 
 #: Footprint scale factor between the paper's matrices and our stand-ins.
 SUITE_SCALE = 64
@@ -229,3 +230,18 @@ def operands(name: str) -> Tuple[CsrMatrix, CsrMatrix]:
     if spec.square:
         return a, a
     return a, a.transpose()
+
+
+_PRODUCT_NNZ: Dict[str, int] = {}
+
+
+def product_nnz(name: str) -> int:
+    """nnz of this matrix's evaluated product (memoized).
+
+    The exact structural count of :func:`operands`' product (see
+    :func:`repro.matrices.stats.product_nnz`): the output size every
+    baseline traffic model prices C writes with.
+    """
+    if name not in _PRODUCT_NNZ:
+        _PRODUCT_NNZ[name] = _product_nnz(*operands(name))
+    return _PRODUCT_NNZ[name]

@@ -42,7 +42,8 @@ def profile_point(matrix: str, model: str = "gamma",
     and ignore the instrumentation kwargs, so profiling one still yields
     the record (and an empty trace) with a reduced report. ``mask``
     selects a masked product for the Gamma SpGEMM engines; ``operand``
-    the vector shape for ``gamma-spmv`` (each ignored elsewhere).
+    the vector shape for ``gamma-spmv`` (each ignored elsewhere); a
+    baseline prices C with the exact product size.
     """
     from repro.engine.registry import GAMMA_MODELS, get_model
     from repro.matrices import suite
@@ -54,6 +55,8 @@ def profile_point(matrix: str, model: str = "gamma",
         extra["mask"] = mask
     elif model == "gamma-spmv":
         extra["operand"] = operand
+    else:
+        extra["c_nnz"] = suite.product_nnz(matrix)
     start = time.perf_counter()
     record = get_model(model).run(
         a, b, config, matrix=matrix, variant=variant, multi_pe=multi_pe,

@@ -277,9 +277,8 @@ def execution_rollup(result,
     """Execution-order facts: stats, attempts, wall time, slot usage.
 
     These legitimately differ between serial and parallel runs of the
-    same plan (dispatch order, prerequisite double-dispatch, slot
-    assignment), so they live under a separate key and are excluded
-    from the default report.
+    same plan (dispatch order, retries, slot assignment), so they live
+    under a separate key and are excluded from the default report.
     """
     provenance = getattr(result, "provenance", {})
     wall = [meta.get("wall_seconds", 0.0)

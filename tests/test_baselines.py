@@ -7,7 +7,6 @@ from repro.analysis.reuse import LruRowCache, b_read_traffic
 from repro.analysis.traffic import compulsory_traffic
 from repro.baselines import (
     condensed_width,
-    output_nnz_upper_bound,
     run_inner_product_model,
     run_mkl_model,
     run_outerspace_model,
@@ -18,7 +17,7 @@ from repro.baselines import (
 )
 from repro.baselines.sparch import condensed_column_stream
 from repro.config import CpuConfig, GammaConfig
-from repro.matrices import generators
+from repro.matrices import generators, product_nnz
 
 
 def scipy_product(a, b):
@@ -61,11 +60,11 @@ class TestReferenceSpgemm:
             spgemm_spa(a, b)
 
     def test_output_upper_bound(self):
+        """The flop count bounds nnz(C); product_nnz is nnz(C)."""
         a = generators.uniform_random(40, 40, 4.0, seed=7)
         c, counts = spgemm_spa(a, a)
-        bound = output_nnz_upper_bound(a, a)
-        assert counts.output_nnz <= bound
-        assert bound == counts.flops
+        assert counts.output_nnz == product_nnz(a, a) == c.nnz
+        assert product_nnz(a, a) <= counts.flops
 
 
 class TestLruReuse:
@@ -107,24 +106,24 @@ class TestMklModel:
 
     def test_runtime_positive_and_scaled(self):
         a = generators.uniform_random(200, 200, 5.0, seed=9)
-        small = run_mkl_model(a, a, CpuConfig())
+        small = run_mkl_model(a, a, CpuConfig(), c_nnz=product_nnz(a, a))
         assert small.runtime_seconds > 0
         assert small.flops > 0
         assert small.name == "MKL"
 
     def test_traffic_contains_compulsory(self):
         a = generators.uniform_random(200, 200, 5.0, seed=10)
-        result = run_mkl_model(a, a)
-        compulsory = compulsory_traffic(
-            a, a, output_nnz_upper_bound(a, a))
+        result = run_mkl_model(a, a, c_nnz=product_nnz(a, a))
+        compulsory = compulsory_traffic(a, a, product_nnz(a, a))
         assert result.traffic_bytes["A"] >= compulsory["A"]
         assert result.traffic_bytes["C"] >= compulsory["C"] * 0.9
 
     def test_denser_matrices_more_efficient(self):
         sparse = generators.uniform_random(300, 300, 3.0, seed=11)
         dense = generators.uniform_random(300, 300, 30.0, seed=12)
-        r_sparse = run_mkl_model(sparse, sparse)
-        r_dense = run_mkl_model(dense, dense)
+        r_sparse = run_mkl_model(sparse, sparse,
+                                 c_nnz=product_nnz(sparse, sparse))
+        r_dense = run_mkl_model(dense, dense, c_nnz=product_nnz(dense, dense))
         gflops = lambda r: r.flops / r.runtime_seconds
         assert gflops(r_dense) > gflops(r_sparse)
 
@@ -132,20 +131,20 @@ class TestMklModel:
 class TestOuterSpace:
     def test_input_reuse_is_perfect(self):
         a = generators.uniform_random(150, 150, 5.0, seed=13)
-        result = run_outerspace_model(a, a)
+        result = run_outerspace_model(a, a, c_nnz=product_nnz(a, a))
         assert result.traffic_bytes["A"] == a.nnz * 12 + a.num_cols * 4
         assert result.traffic_bytes["B"] == a.nnz * 12 + a.num_rows * 4
 
     def test_partial_traffic_scales_with_flops(self):
         a = generators.uniform_random(150, 150, 5.0, seed=14)
-        result = run_outerspace_model(a, a)
+        result = run_outerspace_model(a, a, c_nnz=product_nnz(a, a))
         assert result.traffic_bytes["partial_write"] == result.flops * 12
         assert (result.traffic_bytes["partial_read"]
                 > result.traffic_bytes["partial_write"])
 
     def test_phases_add(self):
         a = generators.uniform_random(150, 150, 5.0, seed=15)
-        result = run_outerspace_model(a, a)
+        result = run_outerspace_model(a, a, c_nnz=product_nnz(a, a))
         assert result.cycles >= result.flops / 1.2  # merge phase floor
 
 
@@ -165,7 +164,7 @@ class TestSpArch:
     def test_no_spill_when_narrow(self):
         a = generators.uniform_random(100, 100, 5.0, seed=18)
         assert condensed_width(a) <= 64
-        result = run_sparch_model(a, a)
+        result = run_sparch_model(a, a, c_nnz=product_nnz(a, a))
         assert result.traffic_bytes["partial_write"] == 0
 
     def test_spill_when_wide(self):
@@ -173,12 +172,13 @@ class TestSpArch:
             100, 400, 5.0, dense_row_fraction=0.05, dense_row_nnz=300,
             seed=19)
         assert condensed_width(a) > 64
-        result = run_sparch_model(a, a.transpose())
+        b = a.transpose()
+        result = run_sparch_model(a, b, c_nnz=product_nnz(a, b))
         assert result.traffic_bytes["partial_write"] > 0
 
     def test_b_traffic_at_least_compulsory(self):
         a = generators.uniform_random(200, 200, 6.0, seed=20)
-        result = run_sparch_model(a, a)
+        result = run_sparch_model(a, a, c_nnz=product_nnz(a, a))
         touched = np.unique(a.coords)
         floor = sum(a.row_nnz(int(k)) for k in touched) * 12
         assert result.traffic_bytes["B"] >= floor * 0.9
@@ -187,7 +187,7 @@ class TestSpArch:
 class TestInnerProduct:
     def test_output_written_once(self):
         a = generators.uniform_random(150, 150, 5.0, seed=21)
-        c_nnz = output_nnz_upper_bound(a, a)
+        c_nnz = product_nnz(a, a)
         result = run_inner_product_model(a, a, c_nnz=c_nnz)
         assert result.traffic_bytes["C"] == c_nnz * 12 + a.num_rows * 4
 
@@ -198,15 +198,15 @@ class TestInnerProduct:
         denser = generators.uniform_random(300, 300, 25.0, seed=23)
         norm = {}
         for label, m in (("sparse", sparse), ("denser", denser)):
-            result = run_inner_product_model(m, m, config)
-            compulsory = sum(compulsory_traffic(
-                m, m, output_nnz_upper_bound(m, m)).values())
+            c_nnz = product_nnz(m, m)
+            result = run_inner_product_model(m, m, config, c_nnz=c_nnz)
+            compulsory = sum(compulsory_traffic(m, m, c_nnz).values())
             norm[label] = result.total_traffic / compulsory
         assert norm["sparse"] > 1.5 * norm["denser"]
 
     def test_no_partial_traffic(self):
         a = generators.uniform_random(100, 100, 4.0, seed=24)
-        result = run_inner_product_model(a, a)
+        result = run_inner_product_model(a, a, c_nnz=product_nnz(a, a))
         assert result.traffic_bytes["partial_read"] == 0
         assert result.traffic_bytes["partial_write"] == 0
 
@@ -222,13 +222,12 @@ class TestCrossModelOrdering:
                                  max_degree=60)
         config = GammaConfig(fibercache_bytes=32 * 1024)
         gamma = GammaSimulator(config, keep_output=False).run(a, a)
-        c_nnz = (gamma.compulsory_bytes["C"] - 4 * a.num_rows) // 12
-        outerspace = run_outerspace_model(a, a, config, c_nnz)
+        outerspace = run_outerspace_model(a, a, config, c_nnz=gamma.c_nnz)
         assert gamma.total_traffic < outerspace.total_traffic
 
     def test_all_models_report_same_flops(self):
         a = generators.uniform_random(120, 120, 5.0, seed=32)
-        c_nnz = output_nnz_upper_bound(a, a)
+        c_nnz = product_nnz(a, a)
         results = [
             run_outerspace_model(a, a, c_nnz=c_nnz),
             run_sparch_model(a, a, c_nnz=c_nnz),

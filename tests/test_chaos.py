@@ -160,15 +160,14 @@ class TestQuarantine:
             small_plan(), workers=2,
             policy=SweepPolicy(max_retries=1, **FAST))
         bad = SweepPoint("gamma", "wiki-Vote", "none")
-        # sparch:wiki-Vote needs the quarantined gamma run for c_nnz, so
-        # it genuinely cannot succeed either; poisson3Da is untouched.
-        assert bad in result.quarantined
+        # Points stand alone: sparch:wiki-Vote prices C with the exact
+        # product size, not the failing Gamma run, so it lands too.
+        assert set(result.quarantined) == {bad}
         assert result.quarantined[bad].attempts == 2
-        for point in plan_sweep(["poisson3Da"],
-                                models=("gamma", "sparch"),
-                                variants=("none",)):
-            assert result[point].to_payload() == clean_records[point]
-        assert all(p.matrix == "wiki-Vote" for p in result.quarantined)
+        assert SweepPoint("sparch", "wiki-Vote", "") in result
+        for point, payload in clean_records.items():
+            if point != bad:
+                assert result[point].to_payload() == payload, point
 
     def test_fail_fast_raises(self, tmp_path):
         arm(tmp_path, faults.FaultSpec(
@@ -190,9 +189,9 @@ class TestQuarantine:
                           policy=SweepPolicy(max_retries=1, **FAST))
         assert not first.complete
         burned = plan.triggered(0)
-        # 2 attempts on gamma:wiki-Vote directly, plus 2 more through
-        # sparch:wiki-Vote's recursive c_nnz prerequisite.
-        assert burned == 4
+        # The 2 attempts on gamma:wiki-Vote itself; no other point runs
+        # Gamma on its behalf.
+        assert burned == 2
         resumed = run_sweep(sweep, serial=True, resume=True,
                             policy=SweepPolicy(max_retries=1, **FAST))
         assert set(resumed.quarantined) == set(first.quarantined)
@@ -234,8 +233,9 @@ class TestCorruptCache:
 
     def test_worker_corrupt_write_self_heals(self, tmp_path,
                                              clean_records):
-        """A worker's poisoned write is caught by the parent's read-back,
-        recomputed in-process, and rewritten valid — same results."""
+        """A worker's poisoned write cannot reach the result (the record
+        comes back over the pipe); the next sweep reads the entry as a
+        miss, recomputes exactly that point and rewrites it valid."""
         point = SweepPoint("gamma", "wiki-Vote", "none")
         arm(tmp_path, faults.FaultSpec(
             kind="corrupt_cache", model="gamma", matrix="wiki-Vote"))
@@ -243,6 +243,12 @@ class TestCorruptCache:
                            policy=SweepPolicy(**FAST))
         assert result.complete
         assert_identical(result, clean_records)
+        executed = []
+        again = run_sweep(small_plan(), workers=2,
+                          policy=SweepPolicy(**FAST),
+                          on_executed=lambda p, r, w: executed.append(p))
+        assert executed == [point]
+        assert_identical(again, clean_records)
         # The entry the worker truncated ends up valid on disk.
         assert diskcache.load(record_key(point)) is not None
 

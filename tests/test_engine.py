@@ -7,10 +7,10 @@ equal a serial sweep result-for-result. Small suite matrices keep the
 battery fast.
 """
 
-import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines import (
     run_inner_product_model,
@@ -25,7 +25,6 @@ from repro.engine import (
     RunRecord,
     SweepPoint,
     available_models,
-    derive_c_nnz,
     execute_point,
     get_model,
     pending_points,
@@ -36,7 +35,7 @@ from repro.engine import (
     scaled_gamma_config,
 )
 from repro.engine import diskcache
-from repro.matrices import suite
+from repro.matrices import CooBuilder, CsrMatrix, product_nnz, suite
 
 SMALL_MATRICES = ("wiki-Vote", "poisson3Da")
 
@@ -105,20 +104,6 @@ class TestRunRecord:
         record = self._record()
         payload = json.loads(json.dumps(record.to_payload()))
         assert RunRecord.from_payload(payload) == record
-
-    def test_legacy_payload_without_c_nnz(self):
-        record = self._record()
-        payload = record.to_payload()
-        payload["c_nnz"] = None
-        payload["num_rows"] = suite.load("wiki-Vote").num_rows
-        revived = RunRecord.from_payload(payload)
-        assert revived.c_nnz == record.c_nnz
-
-    def test_derive_c_nnz_inverts_compulsory(self):
-        record = self._record()
-        num_rows = suite.load("wiki-Vote").num_rows
-        assert derive_c_nnz(
-            record.compulsory_bytes["C"], num_rows) == record.c_nnz
 
     def test_derived_metrics_match_simulation(self):
         a, b = suite.operands("wiki-Vote")
@@ -213,12 +198,7 @@ class TestSweep:
             assert record.cycles > 0
 
     def test_parallel_sweep_settles_each_point_once(self):
-        """A plan point that is also a prerequisite runs in one batch.
-
-        ``mkl`` needs the matrix's Gamma run first, and the plan holds
-        that same Gamma point: the prerequisite batch computes it and
-        the pending batch must not run it again.
-        """
+        """Every miss is computed, settled and reported exactly once."""
         points = plan_sweep(["wiki-Vote"], models=("gamma", "mkl"),
                             variants=("none",))
         executed = []
@@ -244,6 +224,85 @@ class TestSweep:
             assert (parallel[point].to_payload()
                     == serial[point].to_payload()), point
 
+    def test_parallel_without_disk_cache(self, tmp_path, monkeypatch):
+        """Workers hand records back over their pipes, so a parallel
+        sweep needs no disk cache: it still runs on worker slots and
+        matches a serial run payload-for-payload."""
+        from repro.obs import spans
+
+        points = plan_sweep(["wiki-Vote"], models=("gamma", "sparch"),
+                            variants=("none",))
+        monkeypatch.setenv("REPRO_NO_DISK_CACHE", "1")
+        spans.enable(tmp_path / "tele")
+        try:
+            parallel = run_sweep(points, workers=2)
+        finally:
+            spans.disable()
+        slots = {event["attrs"]["slot"] for event in
+                 spans.merge_directory(tmp_path / "tele")["spans"]
+                 if event["name"] == "sweep/point"}
+        assert slots and None not in slots
+        assert parallel.stats["executed"] == len(points)
+        serial = run_sweep(points, serial=True)
+        assert list(parallel) == list(serial) == points
+        for point in points:
+            assert (parallel[point].to_payload()
+                    == serial[point].to_payload()), point
+        assert not list(diskcache.cache_dir().glob("*.json"))
+
+
+def _operand_pair():
+    """Hypothesis draw of a conformable (A, B) pair: rectangular shapes,
+    empty rows, and small integer values, so products cancel often."""
+    @st.composite
+    def build(draw):
+        rows, inner, cols = (draw(st.integers(1, 12)) for _ in range(3))
+
+        def matrix(num_rows, num_cols):
+            builder = CooBuilder(num_rows, num_cols)
+            for _ in range(draw(st.integers(0, 3 * num_rows))):
+                builder.add(draw(st.integers(0, num_rows - 1)),
+                            draw(st.integers(0, num_cols - 1)),
+                            float(draw(st.sampled_from((-2, -1, 1, 2)))))
+            return builder.build()
+
+        return matrix(rows, inner), matrix(inner, cols)
+
+    return build()
+
+
+class TestProductNnz:
+    """``product_nnz`` is the ``c_nnz`` both Gamma engines report."""
+
+    @staticmethod
+    def gamma_c_nnz(a, b):
+        return {get_model(model).run(a, b).c_nnz
+                for model in ("gamma", "gamma-ref")}
+
+    def test_cancelling_pair_keeps_structural_zero(self):
+        a = CsrMatrix.from_dense([[1.0, -1.0], [2.0, 0.0]])
+        b = CsrMatrix.from_dense([[1.0, 3.0], [1.0, 0.0]])
+        # C[0, 0] = 1*1 + (-1)*1 cancels to zero: scipy drops it, Gamma
+        # (and the structural count) keep it.
+        assert (a.to_scipy() @ b.to_scipy()).nnz == 3
+        assert product_nnz(a, b) == 4
+        assert self.gamma_c_nnz(a, b) == {4}
+
+    @given(_operand_pair())
+    @settings(max_examples=40, deadline=None)
+    def test_matches_gamma_on_random_pairs(self, pair):
+        a, b = pair
+        assert self.gamma_c_nnz(a, b) == {product_nnz(a, b)}
+
+    def test_rejects_mismatched_shapes(self):
+        a = CsrMatrix.from_dense([[1.0, 0.0, 2.0]])
+        with pytest.raises(ValueError, match="inner dimensions"):
+            product_nnz(a, a)
+
+    def test_suite_memo_matches_operands(self):
+        a, b = suite.operands("wiki-Vote")
+        assert suite.product_nnz("wiki-Vote") == product_nnz(a, b)
+
 
 class TestFacadeParity:
     """The ExperimentRunner facade returns engine records unchanged."""
@@ -262,7 +321,8 @@ class TestFacadeParity:
         runner = ExperimentRunner()
         a, b = suite.operands("wiki-Vote")
         c_nnz = runner.c_nnz("wiki-Vote")
-        direct = run_sparch_model(a, b, scaled_gamma_config(), c_nnz)
+        assert c_nnz == runner.gamma("wiki-Vote").c_nnz
+        direct = run_sparch_model(a, b, scaled_gamma_config(), c_nnz=c_nnz)
         record = runner.baseline("sparch", "wiki-Vote")
         assert record.cycles == direct.cycles
         assert record.traffic_bytes == direct.traffic_bytes
